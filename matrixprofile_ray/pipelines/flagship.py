@@ -4,19 +4,22 @@ Gorilla payloads → matrix profiles → discoveries.
 Execution topology — exactly ONE all-to-all exchange:
 
     read/generate pages
-      └─ map_batches(partial_rollup raw)       stateless combiner, pyarrow
-         └─ groupby(domain).map_groups(DomainPipeline)   THE shuffle
-              raw-merge → 1h → 1d → 7d cascade → gap-fill, all per-domain
+      └─ rollup_partials(finest tier)          stateless tasks, pyarrow:
+           partial_rollup per read block, then cascade_partial at the same
+           grain over COALESCE_ROWS-row batches (few large blocks)
+         └─ partitioned_group_map(domain, DomainPipeline)   THE shuffle
+              per-partition fold: merge → coarser tiers → gap-fill
             └─ series rows (one per domain × tier)  [materialized: tiny]
                ├─ map_batches(encode_series)        → series_gorilla
-               └─ map_batches(ProfileStage)         actor pool
-                  └─ map_batches(DiscoveryStage)    actor pool → discoveries
+               └─ map_batches(ProfileStage(...))    tasks
+                  └─ map_batches(DiscoveryStage())  tasks → discoveries
 
-The corpus is scanned ONCE; the in-batch partial combine collapses it to
-≤ (domains × raw buckets) rows before the single shuffle, so the exchange
-volume is bounded by the bucket grid, not the page count. The per-tier
-``rollup_tier`` / ``cascade_tier`` path (stages/rollup.py) remains for
-bucket-table outputs and oracle checks; the flagship hot path fuses it.
+The corpus is scanned ONCE; the partial combine collapses it to
+≤ (domains × finest-tier buckets) rows before the single shuffle, so the
+exchange volume is bounded by the bucket grid, not the page count. The
+per-tier ``rollup_tier`` / ``cascade_tier`` path (stages/rollup.py) builds
+the same partials for bucket-table outputs and oracle checks; the
+flagship hot path fuses the tiers into one fold.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from matrixprofile_ray.stages.domain_pipeline import DomainPipeline
 from matrixprofile_ray.stages.encode import encode_series
 from matrixprofile_ray.stages.gapfill import SeriesAssembler
 from matrixprofile_ray.stages.profile import ProfileStage
-from matrixprofile_ray.stages.rollup import TIERS, cascade_tier, rollup_tier
+from matrixprofile_ray.stages.rollup import (
+    TIERS,
+    cascade_tier,
+    rollup_partials,
+    rollup_tier,
+)
 
 __all__ = ["bucket_tiers", "series_for_tier", "series_all_tiers", "flagship"]
 
@@ -97,16 +105,13 @@ def series_for_tier(bucket_ds, tier: str, value_col: str = "count",
 def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d"),
                      value_col: str = "count"):
     """pages → gap-filled series rows for every tier, ONE shuffle total."""
-    from matrixprofile_ray.stages.rollup import partial_rollup
     from matrixprofile_ray.util import ensure_hash_shuffle
 
     ensure_hash_shuffle()
 
-    partials = pages_ds.map_batches(
-        lambda b: partial_rollup(b, TIERS["raw"]),
-        batch_format="pyarrow",
-    )
     pipeline = DomainPipeline(tiers=tiers, value_col=value_col)
+    # partials at the grain of the finest tier; the fold cascades the rest
+    partials = rollup_partials(pages_ds, pipeline.tiers[0])
 
     from matrixprofile_ray.util import _cluster_cpus, partitioned_group_map
 
@@ -117,7 +122,8 @@ def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d"),
     # map side pays per-slice push costs proportional to blocks×parts, and
     # that dominated the exchange — parts=cpus*2 with blocks=cpus/2 source
     # blocks measured 12.1 s vs 27.8 s at 32 cpus (and 39.0 vs 65.9 at 8)
-    # for the full 1M-page series phase. Fold stragglers stay amortized:
+    # for the full 1M-page series phase. rollup_partials' coalesce gives
+    # that block count by construction. Fold stragglers stay amortized:
     # a partition holds ~domains/parts hash-mixed domains, so Zipf skew
     # averages out (max fold task 2.05 s at 256 parts → ~8 s at 64; still
     # a clear net win).
@@ -144,6 +150,7 @@ def flagship(
     """Run the full pipeline; returns dict with the series / gorilla /
     profiles / discoveries Datasets (series rows carry a ``tier`` column).
 
+    ``profile_concurrency`` caps the number of concurrent profile tasks.
     When ``out_dir`` is set, outputs are also written as partitioned
     parquet (one directory per stage — the resumable layout lives in
     pipelines/runner.py).
@@ -156,12 +163,13 @@ def flagship(
         # table so downstream consumers never rescan the corpus
         # materialize BEFORE repartitioning: chaining the repartition
         # AllToAll onto the hash-groupby plan triples the stage's wall time
-        # (measured 24s -> 85s at 1M pages); then split for the actor pool
-        # (one actor task per block). Block size is a real lever BOTH ways:
-        # Ray pays ~ms-scale machinery per task (8-row blocks cost ~25 s
-        # per stage at 32k rows), but too-few blocks starve the pool (32-row
-        # blocks at 800 rows → 25 tasks for 30 actors: 15 s → 24 s
-        # regression). Size adaptively: ≥8 tasks per actor, 4..32 rows.
+        # (measured 24s -> 85s at 1M pages); then split so no profile task
+        # gets a whole shuffle-output block. Block size is a real lever
+        # BOTH ways: Ray pays ~ms-scale machinery per task (8-row blocks
+        # cost ~25 s per stage at 32k rows), but too-few blocks starve the
+        # workers (32-row blocks at 800 rows → 25 tasks for 30 CPUs:
+        # 15 s → 24 s regression). Size adaptively: ≥8 blocks per
+        # concurrent task, 4..32 rows.
         series = series.materialize()
         n_rows = series.count()
         rows_per_block = max(
@@ -175,23 +183,17 @@ def flagship(
     # blocks (1.05 s) — tiny repartitioned blocks cost 24x more in pure
     # task machinery (measured 24.8 s)
     gorilla = series.map_batches(encode_series, batch_format="pandas")
+    # both stages hold only config: run them as elastic TASKS on the warm
+    # workers — an actor pool pays an actor start-up on every job and
+    # statically takes CPUs away from the stage after it
     profiles = profile_input.map_batches(
-        ProfileStage,
-        fn_constructor_kwargs={"window": window, "algorithm": algorithm},
+        ProfileStage(window=window, algorithm=algorithm),
         batch_format="pandas",
         batch_size=32,
         concurrency=profile_concurrency,
     )
-    # discovery is ~50x cheaper than profiling and stateless (config only):
-    # run it as elastic TASKS so it never statically partitions CPUs away
-    # from the profile actor pool
-    discovery = DiscoveryStage()
-
-    def discover_batch(batch):
-        return discovery(batch)
-
     discoveries = profiles.map_batches(
-        discover_batch,
+        DiscoveryStage(),
         batch_format="pandas",
         batch_size=32,
     )

@@ -176,8 +176,9 @@ def to_series_dataset(record: dict):
     import pyarrow as pa
     import ray.data as rd
 
-    data = np.asarray(record["data"], dtype="float64")
-    if data.ndim != 1:
+    # np.loadtxt returns a 0-d array for a single-value file
+    data = np.atleast_1d(np.asarray(record["data"], dtype="float64"))
+    if data.ndim == 2:
         data = data[:, 0]
     dt = record.get("datetime")
     if dt is not None:

@@ -1,4 +1,4 @@
-"""Discovery actor-pool stage: profile rows → flattened discoveries rows.
+"""Discovery stage: profile rows → flattened discoveries rows.
 
 Per profile row, runs the sequential in-kernel discovery operators
 (motifs/discords/regimes — reference top_k_motifs.py:174-314,

@@ -2,24 +2,25 @@
 
 The naive topology (groupby per tier + groupby per series assembly) costs
 8 all-to-all exchanges; Ray's aggregate has seconds of fixed latency each.
-This stage does it with ONE:
+This stage does it with ONE (``pipelines.flagship.series_all_tiers``):
 
-    pages → map_batches(partial_rollup raw)     in-batch combine
-          → groupby(domain).map_groups(DomainPipeline)   THE shuffle
-          → series rows for every tier (raw/1h/1d/7d)
+    pages → rollup_partials(finest tier)   per-block partial + coalesce
+          → partitioned_group_map(domain, DomainPipeline.process_partition)
+                                           THE shuffle + per-partition fold
+          → series rows for every requested tier
 
-Inside one domain group everything is trivial pandas/numpy: merge raw
-partials, cascade coarser tiers by integer re-bucketing (continuous
-aggregates — exact, moments carried), gap-fill each tier, emit one dense
-series row per (domain, tier).
+Inside one domain everything is trivial pandas/numpy: merge the partials
+at the finest requested tier, cascade each coarser tier by integer
+re-bucketing (continuous aggregates — exact, moments carried), gap-fill
+each tier, emit one dense series row per (domain, tier).
 
 Partitioning assumptions (documented per north rule):
-- one domain's RAW bucket partials fit in a worker heap — bounded by
-  span/5min rows (~16k/56d), NOT by page count, thanks to the in-batch
-  partial combine;
+- one domain's finest-tier bucket partials fit in a worker heap — bounded
+  by span/bucket rows (~16k/56d at 5 min), NOT by page count, thanks to
+  the partial combine;
 - heavy-tailed domains are therefore NOT a skew problem for this stage
-  (the combiner equalizes), only for the combiner's groupby input, which
-  Ray hash-partitions on (domain, bucket) — already salted by bucket.
+  (the combiner equalizes); a hash partition holds ~domains/partitions
+  hash-mixed domains, so Zipf skew averages out.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from matrixprofile_ray.stages.gapfill import DEFAULT_MAX_BUCKETS, assemble_series
+from matrixprofile_ray.stages.gapfill import (
+    DEFAULT_MAX_BUCKETS,
+    assemble_series_row,
+)
 from matrixprofile_ray.stages.rollup import TIERS
 
 __all__ = ["DomainPipeline"]
@@ -43,8 +47,9 @@ _AGGS = {
 
 
 class DomainPipeline:
-    """map_groups callable: raw partial rows of ONE domain → series rows
-    for every requested tier."""
+    """Partition fold: partial rows of the domains in one hash partition →
+    series rows for every requested tier. The partials must be at the
+    grain of the finest requested tier (``rollup_partials``)."""
 
     def __init__(
         self,
@@ -53,54 +58,33 @@ class DomainPipeline:
         add_noise: bool = True,
         max_buckets: int = DEFAULT_MAX_BUCKETS,
     ):
-        self.tiers = tuple(tiers)
+        self.tiers = tuple(sorted(tiers, key=TIERS.__getitem__))
         self.value_col = value_col
         self.add_noise = add_noise
         self.max_buckets = max_buckets
 
     def _domain_rows(self, domain, group: pd.DataFrame) -> list[dict]:
-        from matrixprofile_ray.stages.gapfill import assemble_series_row
-
-        # merge the raw partials (multiple rows per bucket across batches)
-        raw = (
-            group.groupby("bucket_ts", sort=True)
-            .agg(_AGGS)
-            .reset_index()
-        )
         rows = []
-        prev_tier, prev = "raw", raw
-        for tier in ("raw", "1h", "1d", "7d"):
-            if TIERS[tier] < TIERS[prev_tier]:
-                continue
-            if tier == prev_tier:
-                buckets = prev
-            else:
-                rb = prev.copy()
-                rb["bucket_ts"] = (
-                    rb["bucket_ts"] // TIERS[tier]
-                ) * TIERS[tier]
-                buckets = (
-                    rb.groupby("bucket_ts", sort=True).agg(_AGGS).reset_index()
-                )
-                prev_tier, prev = tier, buckets
-            if tier not in self.tiers:
-                continue
+        buckets = group
+        for tier in self.tiers:
+            # the finest tier merges the partials (several rows per bucket
+            # across blocks); each coarser tier re-buckets the one before
+            bucket_us = TIERS[tier]
+            buckets = (
+                buckets.assign(bucket_ts=buckets["bucket_ts"] // bucket_us
+                               * bucket_us)
+                .groupby("bucket_ts", sort=True).agg(_AGGS).reset_index()
+            )
             rows.append(assemble_series_row(
                 domain,
                 buckets["bucket_ts"].to_numpy(dtype=np.int64),
                 buckets[self.value_col].to_numpy(dtype=np.float64),
-                TIERS[tier],
+                bucket_us,
                 tier,
                 add_noise=self.add_noise,
                 max_buckets=self.max_buckets,
             ))
         return rows
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        rows = self._domain_rows(group["domain"].iloc[0], group)
-        if not rows:
-            return pd.DataFrame()
-        return pd.DataFrame(rows)
 
     def process_partition(self, part: pd.DataFrame) -> pd.DataFrame:
         """All domains of one hash partition in ONE call (see

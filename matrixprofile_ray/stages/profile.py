@@ -1,13 +1,16 @@
-"""Matrix-profile actor-pool stage: series rows → profile rows.
+"""Matrix-profile stage: series rows → profile rows.
 
-Usage: ``series_ds.map_batches(ProfileStage(w=..., algorithm='mpx'),
-batch_format='pandas', batch_size=B, concurrency=(lo, hi))``.
+Usage: ``series_ds.map_batches(ProfileStage(window=..., algorithm='mpx'),
+batch_format='pandas', batch_size=B, concurrency=N)``.
 
-A callable CLASS so Ray runs it as an actor pool: config validation and
-setup happen once per actor (``__init__``), each ``__call__`` handles one
-batch of series rows. One row = one series = one kernel invocation — the
-per-batch "loop" iterates over a handful of heavy numpy kernel calls, not
-scalar work.
+``ProfileStage`` holds only validated config, so an INSTANCE runs as
+stateless Ray tasks (the flagship does this: no actor start-up per job,
+no CPUs held between stages). Passing the class itself with
+``fn_constructor_kwargs`` runs it as an actor pool instead
+(``pipelines/timeseries.py``, ``pipelines/runner.py``). Each call handles
+one batch of series rows. One row = one series = one kernel invocation —
+the per-batch "loop" iterates over a handful of heavy numpy kernel calls,
+not scalar work.
 
 Profile schema (SURVEY §1.2): columnar port of the reference profile dict
 (reference mpx.py:82-100) minus the embedded raw data; the series stays
@@ -70,7 +73,7 @@ _META_COLS = ("domain", "tier", "start_ts", "bucket_us")
 
 
 class ProfileStage:
-    """Actor-pool batch transform computing matrix profiles per series row.
+    """Batch transform computing matrix profiles per series row.
 
     ``window`` may be an int (fixed) or None — then each input row must
     carry its own ``w`` column (the SKIMP (series × window) fan-out path).

@@ -2,17 +2,23 @@
 
 The shuffle-minimizing shape (ray_guide "Aggregation at scale"):
 
-1. ``partial_rollup`` — inside ``map_batches`` (pyarrow, zero-copy): project
-   domain + bucket, then a *within-batch* Arrow ``group_by`` producing one
-   partial row per (domain, bucket) per batch. This collapses the corpus by
-   orders of magnitude before anything moves.
-2. ``Dataset.groupby(['domain','bucket_ts']).aggregate(Sum/Min/Max)`` over
-   the partials — the only all-to-all exchange, over pre-shrunk rows.
-3. ``finalize_rollup`` — derive mean/std from the merged moments.
+1. ``partial_rollup`` — inside ``map_batches`` (pyarrow, zero-copy), per
+   read block: project domain + bucket, then a *within-batch* Arrow
+   ``group_by`` producing one partial row per (domain, bucket) per block.
+2. Coalesce — ``cascade_partial`` at the same grain over batches of
+   ``COALESCE_ROWS`` partial rows merges the per-block partials into
+   ~ceil(rows / COALESCE_ROWS) large blocks. The exchange pays Ray task
+   and slice machinery per input block, so it must not see one narrow
+   block per read block. ``rollup_partials`` builds steps 1 and 2.
+3. ``merge_rollup_partials`` — the only all-to-all exchange
+   (``util.partitioned_group_map``) plus a pandas fold per partition.
+4. ``finalize_rollup`` — derive mean/std from the merged moments.
 
 Tier cascade: 1d is rolled up from the 1h table, 7d from 1d (partial+final
 again, cheap) — the "continuous aggregate" pattern; counts and moments stay
-exact because we carry sum/sum_sq/min/max/count, never averages.
+exact because we carry sum/sum_sq/min/max/count, never averages. The
+moments are integer-valued float64 sums far below 2**53, so the merge order
+(which block a partial lands in) cannot change them.
 
 Reference parity: the per-bucket stats match reference
 algorithms/statistics.py:15-90 global stats per bucket; numerically checked
@@ -29,7 +35,9 @@ from matrixprofile_ray.stages.extract import add_domain
 
 __all__ = [
     "TIERS",
+    "COALESCE_ROWS",
     "partial_rollup",
+    "rollup_partials",
     "merge_rollup_partials",
     "finalize_rollup",
     "rollup_tier",
@@ -43,6 +51,11 @@ TIERS = {
     "1d": 86_400_000_000,
     "7d": 604_800_000_000,
 }
+
+# partial rows per coalesced block handed to the exchange: 1M pages give
+# at most 16 blocks, the source-block count the 32-CPU exchange sweep
+# measured as best (pipelines/flagship.series_all_tiers)
+COALESCE_ROWS = 65_536
 
 _PARTIAL_COLS = ["count", "bytes", "sum_len", "sum_sq_len", "min_len", "max_len"]
 
@@ -129,14 +142,23 @@ def cascade_partial(batch: pa.Table, bucket_us: int) -> pa.Table:
     return agg.rename_columns(["domain", "bucket_ts"] + _PARTIAL_COLS)
 
 
-def rollup_tier(pages_ds, tier: str):
-    """pages Dataset → finalized bucket table for one tier."""
+def rollup_partials(pages_ds, tier: str):
+    """pages Dataset → partial rows at ``tier``'s grain, coalesced into
+    ~ceil(rows / COALESCE_ROWS) blocks, ready for the one exchange."""
     bucket_us = TIERS[tier]
-    partials = pages_ds.map_batches(
+    return pages_ds.map_batches(
         lambda b: partial_rollup(b, bucket_us),
         batch_format="pyarrow",
+    ).map_batches(
+        lambda b: cascade_partial(b, bucket_us),
+        batch_format="pyarrow",
+        batch_size=COALESCE_ROWS,
     )
-    merged = merge_rollup_partials(partials)
+
+
+def rollup_tier(pages_ds, tier: str):
+    """pages Dataset → finalized bucket table for one tier."""
+    merged = merge_rollup_partials(rollup_partials(pages_ds, tier))
     return merged.map_batches(
         lambda b: finalize_rollup(b, tier), batch_format="pyarrow"
     )

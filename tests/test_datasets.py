@@ -137,7 +137,7 @@ def test_load_unknown_raises(registry):
         ds.load("missing_name", data_dir=registry)
 
 
-def test_to_series_dataset(registry, ray_session):
+def test_to_series_dataset(registry, ray_session, tmp_path):
     rec = ds.load("sine", data_dir=registry)
     out = ds.to_series_dataset(rec)
     rows = out.take_all()
@@ -153,3 +153,13 @@ def test_to_series_dataset(registry, ray_session):
     # datetime carried as int64 microseconds
     assert row2["ts"][0] == int(
         rec2["datetime"][0].astype("datetime64[us]").astype("int64"))
+
+    # a single-value .txt loads as a 0-d array: a length-1 series
+    one = tmp_path / "one.txt"
+    np.savetxt(one, [4.5])
+    rec3 = {"name": "one.txt", "data": np.loadtxt(one), "datetime": None}
+    assert rec3["data"].ndim == 0
+    row3 = ds.to_series_dataset(rec3).take_all()[0]
+    assert row3["n"] == 1
+    assert list(row3["values"]) == [4.5]
+    assert list(row3["ts"]) == [0]

@@ -130,6 +130,78 @@ class TestRollupVsDuckdb:
         )
 
 
+class TestFusedSeriesEquivalence:
+    """The flagship's fused one-shuffle path vs the unfused per-tier path
+    (bucket tables, then one series assembly per tier)."""
+
+    TIERS = ("1h", "1d", "7d")
+
+    @pytest.fixture(scope="class")
+    def blocky_ds(self, ray_session, pages_ds):
+        # many small blocks: every bucket's partials span several blocks
+        ds = pages_ds.repartition(40).materialize()
+        assert ds.num_blocks() == 40
+        return ds
+
+    def test_partials_reach_exchange_coalesced(self, blocky_ds):
+        from matrixprofile_ray.stages.rollup import COALESCE_ROWS, rollup_partials
+
+        partials = rollup_partials(blocky_ds, "1h").materialize()
+        assert partials.count() > 0
+        assert partials.num_blocks() <= -(-partials.count() // COALESCE_ROWS)
+
+    def test_fold_merges_partials_across_blocks(self, pages_table):
+        """At test scale the coalesce already merges every bucket, so feed
+        the fold per-block partials directly."""
+        from matrixprofile_ray.stages.domain_pipeline import DomainPipeline
+        from matrixprofile_ray.stages.rollup import partial_rollup
+
+        grain = TIERS[self.TIERS[0]]
+        whole = partial_rollup(pages_table, grain).to_pandas()
+        split = pd.concat([
+            partial_rollup(pages_table.slice(i, 500), grain).to_pandas()
+            for i in range(0, N_PAGES, 500)
+        ])
+        assert len(split) > len(whole)
+        fold = DomainPipeline(tiers=self.TIERS).process_partition
+        got, want = (
+            fold(df).sort_values(["domain", "tier"]).reset_index(drop=True)
+            for df in (split, whole)
+        )
+        assert got[["domain", "tier", "n", "n_gaps"]].equals(
+            want[["domain", "tier", "n", "n_gaps"]]
+        )
+        for g, w in zip(got["values"], want["values"]):
+            assert g.tobytes() == w.tobytes()
+
+    def test_fused_equals_per_tier(self, blocky_ds):
+        from matrixprofile_ray.pipelines.flagship import (
+            bucket_tiers,
+            series_all_tiers,
+            series_for_tier,
+        )
+
+        fused = series_all_tiers(blocky_ds, tiers=self.TIERS).to_pandas()
+        buckets = bucket_tiers(blocky_ds, tiers=self.TIERS)
+        assert set(fused["tier"]) == set(self.TIERS)
+        for tier in self.TIERS:
+            got = (
+                fused[fused["tier"] == tier]
+                .sort_values("domain").reset_index(drop=True)
+            )
+            want = (
+                series_for_tier(buckets[tier], tier).to_pandas()
+                .sort_values("domain").reset_index(drop=True)
+            )
+            assert got["domain"].tolist() == want["domain"].tolist()
+            np.testing.assert_array_equal(got["n"], want["n"])
+            np.testing.assert_array_equal(got["n_gaps"], want["n_gaps"])
+            for g, w in zip(got["values"], want["values"]):
+                assert np.asarray(g, dtype="d").tobytes() == (
+                    np.asarray(w, dtype="d").tobytes()
+                )
+
+
 class TestGapfill:
     def test_dense_grid_and_values(self):
         from matrixprofile_ray.stages.gapfill import assemble_series

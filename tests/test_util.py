@@ -48,6 +48,21 @@ def _make_fold():
     return fold
 
 
+class TestSmallClusterShuffleGuard:
+    def test_below_8_cpus_keeps_shuffle_strategy(self, ray_session):
+        """On a <8-CPU cluster ensure_hash_shuffle must not switch to
+        HASH_SHUFFLE (at 1 CPU a 1-aggregator hash shuffle never finished)."""
+        from ray.data.context import DataContext
+
+        from matrixprofile_ray.util import ensure_hash_shuffle
+
+        assert ray_session.cluster_resources()["CPU"] < 8
+        ctx = DataContext.get_current()
+        before = ctx.shuffle_strategy
+        ensure_hash_shuffle()
+        assert ctx.shuffle_strategy == before
+
+
 class TestHashShufflePath:
     def test_matches_fallback_path(self, ray_session):
         import ray.data as rd
