@@ -187,13 +187,16 @@ def q_resume_rollup_1d(sf_dir: str):
 
     import ray.data as rd
 
-    from matrixprofile_ray.pipelines.timeseries import rollup_events
+    from matrixprofile_ray.pipelines.timeseries import (
+        EVENT_MOMENTS,
+        rollup_events,
+    )
+    from matrixprofile_ray.stages.rollup import merge_moments
     from matrixprofile_ray.state.lineage import (
         LineageWriter,
         filter_completed,
         lineage_record,
     )
-    from matrixprofile_ray.util import partitioned_group_map
 
     _assert_mu_lossless(sf_dir, "events", "value")
     n_parts = 4
@@ -235,17 +238,10 @@ def q_resume_rollup_1d(sf_dir: str):
             run_partition(pid)
         assert filter_completed(all_ids, out_dir, "rollup_1d") == []
 
-        merged = partitioned_group_map(
+        merged = merge_moments(
             rd.read_parquet(os.path.join(out_dir, "rollup_1d")),
             ["key", "bucket_ts"],
-            lambda part: part.groupby(
-                ["key", "bucket_ts"], as_index=False
-            ).agg(
-                count=("count", "sum"),
-                min_value=("min_value", "min"),
-                max_value=("max_value", "max"),
-                sum_mu=("sum_mu", "sum"),
-            ),
+            EVENT_MOMENTS,
         ).to_pandas()
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)

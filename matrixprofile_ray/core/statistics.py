@@ -1,8 +1,9 @@
 """Global + moving descriptive statistics for one series.
 
 Parity target: reference algorithms/statistics.py:15-90. The distributed
-rollup counterpart (groupby-aggregate over Arrow batches) lives in
-matrixprofile_ray.stages.rollup; this kernel serves the per-series API.
+per-bucket counterpart (count/sum/min/max/mean per key and bucket) is
+``matrixprofile_ray.pipelines.timeseries.rollup_events``; this kernel
+serves the per-series API.
 """
 
 from __future__ import annotations

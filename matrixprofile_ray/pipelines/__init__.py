@@ -1,7 +1,3 @@
-from matrixprofile_ray.pipelines.flagship import (
-    bucket_tiers,
-    flagship,
-    series_for_tier,
-)
+from matrixprofile_ray.pipelines.flagship import flagship, series_all_tiers
 
-__all__ = ["bucket_tiers", "flagship", "series_for_tier"]
+__all__ = ["flagship", "series_all_tiers"]

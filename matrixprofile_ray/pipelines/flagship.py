@@ -5,8 +5,9 @@ Execution topology — exactly ONE all-to-all exchange:
 
     read/generate pages
       └─ rollup_partials(finest tier)          stateless tasks, pyarrow:
-           partial_rollup per read block, then cascade_partial at the same
-           grain over COALESCE_ROWS-row batches (few large blocks)
+           partial_rollup (page count per domain × bucket) per read block,
+           then rebucket at the same grain over COALESCE_ROWS-row batches
+           (few large blocks)
          └─ partitioned_group_map(domain, DomainPipeline)   THE shuffle
               per-partition fold: merge → coarser tiers → gap-fill
             └─ series rows (one per domain × tier)  [materialized: tiny]
@@ -17,9 +18,9 @@ Execution topology — exactly ONE all-to-all exchange:
 The corpus is scanned ONCE; the partial combine collapses it to
 ≤ (domains × finest-tier buckets) rows before the single shuffle, so the
 exchange volume is bounded by the bucket grid, not the page count. The
-per-tier ``rollup_tier`` / ``cascade_tier`` path (stages/rollup.py) builds
-the same partials for bucket-table outputs and oracle checks; the
-flagship hot path fuses the tiers into one fold.
+fold derives every coarser tier from the finest one; the tests check its
+series against ``pipelines.timeseries.series_from_buckets`` over DuckDB
+bucket tables.
 """
 
 from __future__ import annotations
@@ -27,89 +28,20 @@ from __future__ import annotations
 from matrixprofile_ray.stages.discovery import DiscoveryStage
 from matrixprofile_ray.stages.domain_pipeline import DomainPipeline
 from matrixprofile_ray.stages.encode import encode_series
-from matrixprofile_ray.stages.gapfill import SeriesAssembler
 from matrixprofile_ray.stages.profile import ProfileStage
-from matrixprofile_ray.stages.rollup import (
-    TIERS,
-    cascade_tier,
-    rollup_partials,
-    rollup_tier,
-)
+from matrixprofile_ray.stages.rollup import rollup_partials
 
-__all__ = ["bucket_tiers", "series_for_tier", "series_all_tiers", "flagship"]
-
-_CASCADE = ["raw", "1h", "1d", "7d"]
+__all__ = ["series_all_tiers", "flagship"]
 
 
-def bucket_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")) -> dict:
-    """All requested tiers as bucket-table Datasets; one corpus scan +
-    cascaded rollups. (Bucket-table output path; the flagship series path
-    uses the fused single-shuffle ``series_all_tiers`` instead.)"""
-    from matrixprofile_ray.util import ensure_hash_shuffle
-
-    ensure_hash_shuffle()
-    out = {}
-    from matrixprofile_ray.util import safe_materialize
-
-    base = rollup_tier(pages_ds, "raw")
-    if len(tiers) > 1:
-        base = safe_materialize(base)
-    out["raw"] = base
-    prev = base
-    for tier in _CASCADE[1:]:
-        if tier not in tiers and all(
-            t not in tiers for t in _CASCADE[_CASCADE.index(tier):]
-        ):
-            break
-        nxt = cascade_tier(prev, tier)
-        # pin each intermediate ONCE and hand the pinned dataset to both the
-        # next cascade step and the caller — otherwise every consumer
-        # re-executes the tier's shuffle
-        prev = safe_materialize(nxt) if tier != _CASCADE[-1] else nxt
-        if tier in tiers:
-            out[tier] = prev
-    return {t: out[t] for t in tiers if t in out}
-
-
-def series_for_tier(bucket_ds, tier: str, value_col: str = "count",
-                    concurrency=None):
-    """Bucket table → gap-filled dense series (one row per domain).
-
-    Partition-level assembly (domain count is data-sized; per-key
-    map_groups pays Ray machinery per domain)."""
-    import numpy as np
-    import pandas as pd
-
-    from matrixprofile_ray.stages.gapfill import assemble_series_row
-    from matrixprofile_ray.util import partitioned_group_map
-
-    bucket_us = TIERS[tier]
-
-    def assemble_partition(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["domain", "bucket_ts"], kind="stable")
-        rows = [
-            assemble_series_row(
-                d,
-                g["bucket_ts"].to_numpy(dtype=np.int64),
-                g[value_col].to_numpy(dtype=np.float64),
-                bucket_us,
-                tier,
-            )
-            for d, g in part.groupby("domain", sort=False)
-        ]
-        return pd.DataFrame(rows)
-
-    return partitioned_group_map(bucket_ds, ["domain"], assemble_partition)
-
-
-def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d"),
-                     value_col: str = "count"):
-    """pages → gap-filled series rows for every tier, ONE shuffle total."""
+def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")):
+    """pages → gap-filled page-count series rows for every tier, ONE
+    shuffle total."""
     from matrixprofile_ray.util import ensure_hash_shuffle
 
     ensure_hash_shuffle()
 
-    pipeline = DomainPipeline(tiers=tiers, value_col=value_col)
+    pipeline = DomainPipeline(tiers=tiers)
     # partials at the grain of the finest tier; the fold cascades the rest
     partials = rollup_partials(pages_ds, pipeline.tiers[0])
 
@@ -128,7 +60,7 @@ def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d"),
     # averages out (max fold task 2.05 s at 256 parts → ~8 s at 64; still
     # a clear net win).
     cpus = _cluster_cpus() or 8
-    # partials are pure scalar Arrow (domain, bucket_ts, moments): keep the
+    # partials are pure scalar Arrow (domain, bucket_ts, count): keep the
     # scatter Arrow-native so the split is zero-copy take, not a pandas
     # frame copy per slice (measured ~1.2 s/block at 64 blocks)
     return partitioned_group_map(

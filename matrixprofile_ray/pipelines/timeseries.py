@@ -3,8 +3,12 @@
 The same rollup → cascade → gap-fill → matrix-profile → discovery topology
 as the flagship pages pipeline, parameterized on column names so it drives
 both the synthetic Common-Crawl corpus and arbitrary event streams (the
-driver's `events` table). All aggregates carry exact moments
-(count/sum/sum_sq/min/max) so cascades and partial+final merges stay exact.
+driver's `events` table). Partial, merge and cascade run on the
+moment-partial core in ``stages.rollup`` with the ``EVENT_MOMENTS`` spec
+(count/sum/sum_sq/min/max plus the exact micro-unit ``sum_mu``). The
+partials are not coalesced before the exchange: the float ``sum_value``
+depends on the order of its additions, so a coalesce would change its
+last bits.
 
 Shuffle budget per query: ONE groupby on (key, bucket) after an in-batch
 Arrow combiner; series assembly reuses the same key partitioning.
@@ -17,9 +21,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from matrixprofile_ray.stages.gapfill import assemble_series
+from matrixprofile_ray.stages.rollup import group_moments, merge_moments, rebucket
 
 __all__ = [
+    "EVENT_MOMENTS",
     "rollup_events",
     "cascade_events",
     "series_from_buckets",
@@ -27,8 +32,15 @@ __all__ = [
     "discover_series",
 ]
 
-_PARTIALS = ["count", "sum_value", "sum_sq_value", "min_value", "max_value",
-             "sum_mu"]
+# moment column → (column of ``_partial``'s projection, Arrow aggregate)
+EVENT_MOMENTS = {
+    "count": ("v", "count"),
+    "sum_value": ("v", "sum"),
+    "sum_sq_value": ("v2", "sum"),
+    "min_value": ("v", "min"),
+    "max_value": ("v", "max"),
+    "sum_mu": ("mu", "sum"),
+}
 
 
 def _partial(batch: pa.Table, key: str, ts_col: str, value_col: str,
@@ -57,31 +69,7 @@ def _partial(batch: pa.Table, key: str, ts_col: str, value_col: str,
         "v2": pc.multiply(val, val),
         "mu": pa.array(mu, pa.int64()),
     })
-    agg = tbl.group_by(["key", "bucket_ts"]).aggregate(
-        [("v", "count"), ("v", "sum"), ("v2", "sum"), ("v", "min"),
-         ("v", "max"), ("mu", "sum")]
-    )
-    return agg.rename_columns(["key", "bucket_ts"] + _PARTIALS)
-
-
-def _merge_partials(partials_ds, keys: list[str]):
-    """Merge partial rows per key tuple: ONE partition-cardinality shuffle
-    + a pandas fold per partition (3× faster than Ray's built-in
-    Sum/Min/Max aggregate at sf0.1 — 14.5 s → 4.6 s for lineitem — and
-    immune to its per-group overhead at corpus-scale key counts)."""
-    from matrixprofile_ray.util import partitioned_group_map
-
-    def fold(part: pd.DataFrame) -> pd.DataFrame:
-        return part.groupby(keys, as_index=False).agg(
-            count=("count", "sum"),
-            sum_value=("sum_value", "sum"),
-            sum_sq_value=("sum_sq_value", "sum"),
-            min_value=("min_value", "min"),
-            max_value=("max_value", "max"),
-            sum_mu=("sum_mu", "sum"),
-        )
-
-    return partitioned_group_map(partials_ds, keys, fold)
+    return group_moments(tbl, ["key", "bucket_ts"], EVENT_MOMENTS)
 
 
 def _finalize(batch: pa.Table, key_out: str) -> pa.Table:
@@ -145,12 +133,13 @@ def rollup_events(
             )
 
         salted = partials.map_batches(add_salt, batch_format="pyarrow")
-        phase1 = _merge_partials(salted, ["key", "bucket_ts", "salt"])
+        phase1 = merge_moments(salted, ["key", "bucket_ts", "salt"],
+                               EVENT_MOMENTS)
         # phase 2 groups on (key, bucket) only — the salt column is simply
         # not part of the fold's output (no Project op: pandas blocks)
-        merged = _merge_partials(phase1, ["key", "bucket_ts"])
+        merged = merge_moments(phase1, ["key", "bucket_ts"], EVENT_MOMENTS)
     else:
-        merged = _merge_partials(partials, ["key", "bucket_ts"])
+        merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
     if keep_partials:
         return merged
     return merged.map_batches(
@@ -164,17 +153,11 @@ def cascade_events(partial_ds, bucket_us: int, key_out: str = "event_type"):
 
     ensure_hash_shuffle()
 
-    def rebucket(batch: pa.Table) -> pa.Table:
-        bucket = pc.multiply(pc.divide(batch["bucket_ts"], bucket_us), bucket_us)
-        tbl = batch.select(["key"] + _PARTIALS).add_column(1, "bucket_ts", bucket)
-        agg = tbl.group_by(["key", "bucket_ts"]).aggregate(
-            [(c, "sum") if not c.startswith(("min", "max"))
-             else (c, c[:3]) for c in _PARTIALS]
-        )
-        return agg.rename_columns(["key", "bucket_ts"] + _PARTIALS)
-
-    partials = partial_ds.map_batches(rebucket, batch_format="pyarrow")
-    merged = _merge_partials(partials, ["key", "bucket_ts"])
+    partials = partial_ds.map_batches(
+        lambda b: rebucket(b, ["key"], EVENT_MOMENTS, bucket_us),
+        batch_format="pyarrow",
+    )
+    merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
     return merged.map_batches(
         lambda b: _finalize(b, key_out), batch_format="pyarrow"
     )

@@ -118,9 +118,12 @@ def generate_pages(indices: np.ndarray, seed: int = 42,
     ).astype(np.uint64)
     flat_key = np.repeat(url_key, n_tokens)
     flat_tok = _mix(flat_pos + flat_key, 9) % np.uint64(512)
+    # take from the 512-word vocabulary as one Arrow array: converting a
+    # numpy string array of millions of tokens yields a ChunkedArray,
+    # which ListArray.from_arrays rejects
     token_list = pa.ListArray.from_arrays(
-        pa.array(offsets, pa.int32()).cast(pa.int32()),
-        pa.array(vocab[flat_tok], pa.string()),
+        pa.array(offsets, pa.int32()),
+        pc.take(pa.array(vocab, pa.string()), flat_tok),
     )
     text = pc.binary_join(token_list, " ")
 

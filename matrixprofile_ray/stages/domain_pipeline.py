@@ -9,10 +9,10 @@ This stage does it with ONE (``pipelines.flagship.series_all_tiers``):
                                            THE shuffle + per-partition fold
           → series rows for every requested tier
 
-Inside one domain everything is trivial pandas/numpy: merge the partials
-at the finest requested tier, cascade each coarser tier by integer
-re-bucketing (continuous aggregates — exact, moments carried), gap-fill
-each tier, emit one dense series row per (domain, tier).
+Inside one domain everything is trivial pandas/numpy: merge the page-count
+partials (``stages.rollup.PAGE_MOMENTS``) at the finest requested tier,
+cascade each coarser tier by integer re-bucketing (continuous aggregates —
+exact), gap-fill each tier, emit one dense series row per (domain, tier).
 
 Partitioning assumptions (documented per north rule):
 - one domain's finest-tier bucket partials fit in a worker heap — bounded
@@ -28,22 +28,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from matrixprofile_ray.stages.gapfill import (
-    DEFAULT_MAX_BUCKETS,
-    assemble_series_row,
-)
-from matrixprofile_ray.stages.rollup import TIERS
+from matrixprofile_ray.stages.gapfill import assemble_series_row
+from matrixprofile_ray.stages.rollup import PAGE_MOMENTS, TIERS, merge_spec
 
 __all__ = ["DomainPipeline"]
 
-_AGGS = {
-    "count": "sum",
-    "bytes": "sum",
-    "sum_len": "sum",
-    "sum_sq_len": "sum",
-    "min_len": "min",
-    "max_len": "max",
-}
+# column → merge aggregate, in pandas' dict form: named aggregation costs
+# about twice as much per call, and this runs per domain per tier
+_AGGS = {col: fn for col, (_, fn) in merge_spec(PAGE_MOMENTS).items()}
 
 
 class DomainPipeline:
@@ -51,17 +43,8 @@ class DomainPipeline:
     series rows for every requested tier. The partials must be at the
     grain of the finest requested tier (``rollup_partials``)."""
 
-    def __init__(
-        self,
-        tiers=("raw", "1h", "1d", "7d"),
-        value_col: str = "count",
-        add_noise: bool = True,
-        max_buckets: int = DEFAULT_MAX_BUCKETS,
-    ):
+    def __init__(self, tiers=("raw", "1h", "1d", "7d")):
         self.tiers = tuple(sorted(tiers, key=TIERS.__getitem__))
-        self.value_col = value_col
-        self.add_noise = add_noise
-        self.max_buckets = max_buckets
 
     def _domain_rows(self, domain, group: pd.DataFrame) -> list[dict]:
         rows = []
@@ -78,11 +61,9 @@ class DomainPipeline:
             rows.append(assemble_series_row(
                 domain,
                 buckets["bucket_ts"].to_numpy(dtype=np.int64),
-                buckets[self.value_col].to_numpy(dtype=np.float64),
+                buckets["count"].to_numpy(dtype=np.float64),
                 bucket_us,
                 tier,
-                add_noise=self.add_noise,
-                max_buckets=self.max_buckets,
             ))
         return rows
 

@@ -1,13 +1,15 @@
-"""Series assembly + gap-fill: bucket rows → one dense series per domain.
+"""Series assembly + gap-fill: bucket rows → one dense series per key.
 
-``Dataset.groupby('domain').map_groups(assemble)``: each group is sorted by
-bucket_ts, re-indexed onto the dense bucket grid (missing buckets → NaN),
-then imputed with the reference's windowed fill semantics
-(preference preprocess.py:140-222 via core.preprocess — forward mean fill,
+``assemble_series_row`` is called per key inside the partition folds
+(``stages.domain_pipeline.DomainPipeline``,
+``pipelines.timeseries.series_from_buckets``): the key's buckets, sorted by
+bucket_ts, are re-indexed onto the dense bucket grid (missing buckets →
+NaN), then imputed with the reference's windowed fill semantics
+(reference preprocess.py:140-222 via core.preprocess — forward mean fill,
 endpoints seeded from nearest finite) and de-flattened with seeded noise.
 
 Output: one row per (domain, tier) with the series as Arrow list columns —
-the layout the matrix-profile actor stage consumes row-wise. Partitioning
+the layout the matrix-profile stage consumes row-wise. Partitioning
 assumption: one domain's series for one tier fits in a worker's heap (a
 56-day span at the 5-min raw tier is ~16k buckets ⇒ ~128 KB; at 100 TB the
 cap is enforced by ``max_buckets``, which truncates to the most recent
@@ -19,11 +21,10 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import pandas as pd
 
 from matrixprofile_ray.core.preprocess import preprocess
 
-__all__ = ["SeriesAssembler", "assemble_series", "assemble_series_row"]
+__all__ = ["assemble_series_row"]
 
 DEFAULT_MAX_BUCKETS = 2**18  # ~2 MiB of float64 per series, hard cap
 
@@ -79,53 +80,3 @@ def assemble_series_row(
         "truncated": truncated,
         "values": filled,
     }
-
-
-def assemble_series(
-    group: pd.DataFrame,
-    bucket_us: int,
-    tier: str,
-    value_col: str = "count",
-    impute_window: int = 4,
-    add_noise: bool = True,
-    max_buckets: int = DEFAULT_MAX_BUCKETS,
-) -> pd.DataFrame:
-    """One (domain) group of bucket rows → a single dense-series row."""
-    domain = group["domain"].iloc[0]
-    g = group.sort_values("bucket_ts")
-    row = assemble_series_row(
-        domain,
-        g["bucket_ts"].to_numpy(dtype=np.int64),
-        g[value_col].to_numpy(dtype=np.float64),
-        bucket_us,
-        tier,
-        impute_window=impute_window,
-        add_noise=add_noise,
-        max_buckets=max_buckets,
-    )
-    return pd.DataFrame({k: [v] for k, v in row.items()})
-
-
-class SeriesAssembler:
-    """map_groups callable with bound tier config (pickles cleanly)."""
-
-    def __init__(self, bucket_us: int, tier: str, value_col: str = "count",
-                 impute_window: int = 4, add_noise: bool = True,
-                 max_buckets: int = DEFAULT_MAX_BUCKETS):
-        self.bucket_us = bucket_us
-        self.tier = tier
-        self.value_col = value_col
-        self.impute_window = impute_window
-        self.add_noise = add_noise
-        self.max_buckets = max_buckets
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        return assemble_series(
-            group,
-            self.bucket_us,
-            self.tier,
-            value_col=self.value_col,
-            impute_window=self.impute_window,
-            add_noise=self.add_noise,
-            max_buckets=self.max_buckets,
-        )

@@ -1,33 +1,46 @@
-"""Tumbling-window rollup into retention tiers (raw/1h/1d/7d).
+"""Tumbling-window rollup into retention tiers (raw/1h/1d/7d): the one
+moment-partial core under both the pages flagship and the generic events
+engine (``pipelines/timeseries.py``).
 
-The shuffle-minimizing shape (ray_guide "Aggregation at scale"):
+A *spec* maps each output moment column to its source column and its
+first-level Arrow aggregate. The aggregate that merges partials of one
+bucket, or folds finer buckets into a coarser one, follows from it
+(``_MERGE``: count→sum, sum→sum, min→min, max→max), so this module owns
+that rule. The core is three functions:
+
+- ``group_moments`` — the in-batch Arrow ``group_by``: one partial row per
+  key tuple of the batch;
+- ``rebucket`` — re-bucket partial rows at a coarser grain (the tier
+  cascade, the "continuous aggregate" pattern) or merge them at the same
+  grain (the coalesce);
+- ``merge_moments`` — the one all-to-all exchange
+  (``util.partitioned_group_map``) plus a pandas fold per partition.
+
+Integer-valued moments (counts, the events' micro-unit ``sum_mu``) and
+min/max are exact under any split of the rows across blocks; a float sum
+is not, which is why the events partials are not coalesced before the
+exchange.
+
+Pages (``PAGE_MOMENTS``) carry only the page count per (domain, bucket),
+the one moment the flagship's series read. The flagship shape is:
 
 1. ``partial_rollup`` — inside ``map_batches`` (pyarrow, zero-copy), per
-   read block: project domain + bucket, then a *within-batch* Arrow
-   ``group_by`` producing one partial row per (domain, bucket) per block.
-2. Coalesce — ``cascade_partial`` at the same grain over batches of
+   read block: project domain + bucket, then ``group_moments``.
+2. Coalesce — ``rebucket`` at the same grain over batches of
    ``COALESCE_ROWS`` partial rows merges the per-block partials into
    ~ceil(rows / COALESCE_ROWS) large blocks. The exchange pays Ray task
    and slice machinery per input block, so it must not see one narrow
    block per read block. ``rollup_partials`` builds steps 1 and 2.
-3. ``merge_rollup_partials`` — the only all-to-all exchange
-   (``util.partitioned_group_map``) plus a pandas fold per partition.
-4. ``finalize_rollup`` — derive mean/std from the merged moments.
+3. The exchange + fold: ``stages.domain_pipeline.DomainPipeline`` merges
+   the partials and cascades the coarser tiers per domain.
 
-Tier cascade: 1d is rolled up from the 1h table, 7d from 1d (partial+final
-again, cheap) — the "continuous aggregate" pattern; counts and moments stay
-exact because we carry sum/sum_sq/min/max/count, never averages. The
-moments are integer-valued float64 sums far below 2**53, so the merge order
-(which block a partial lands in) cannot change them.
-
-Reference parity: the per-bucket stats match reference
-algorithms/statistics.py:15-90 global stats per bucket; numerically checked
-against DuckDB in the driver's oracle gate.
+The page counts are checked against DuckDB ``count(*)`` per (domain,
+bucket) in ``tests/test_pipeline.py``; the events moments hash-match the
+driver's DuckDB oracles (the ``rollup_*`` queries).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -36,12 +49,13 @@ from matrixprofile_ray.stages.extract import add_domain
 __all__ = [
     "TIERS",
     "COALESCE_ROWS",
+    "PAGE_MOMENTS",
+    "group_moments",
+    "rebucket",
+    "merge_spec",
+    "merge_moments",
     "partial_rollup",
     "rollup_partials",
-    "merge_rollup_partials",
-    "finalize_rollup",
-    "rollup_tier",
-    "cascade_partial",
 ]
 
 # tier → bucket width in microseconds; "raw" is the finest persisted grain
@@ -57,89 +71,62 @@ TIERS = {
 # measured as best (pipelines/flagship.series_all_tiers)
 COALESCE_ROWS = 65_536
 
-_PARTIAL_COLS = ["count", "bytes", "sum_len", "sum_sq_len", "min_len", "max_len"]
+# first-level aggregate → the aggregate that merges its partials
+_MERGE = {"count": "sum", "count_all": "sum", "sum": "sum", "min": "min",
+          "max": "max"}
+
+# the page count per bucket: count(*), so a row counts whatever it holds
+PAGE_MOMENTS = {"count": ([], "count_all")}
+
+
+def group_moments(tbl: pa.Table, keys: list[str], spec: dict) -> pa.Table:
+    """In-batch combiner: one partial row per key tuple of ``tbl``, with
+    the spec's moments as columns after the keys."""
+    agg = tbl.group_by(keys).aggregate([(src, fn) for src, fn in spec.values()])
+    return agg.rename_columns(keys + list(spec))
+
+
+def merge_spec(spec: dict) -> dict:
+    """The spec that merges partials of ``spec``: each moment column is
+    its own source, under the aggregate ``_MERGE`` gives its first-level
+    one."""
+    return {out: (out, _MERGE[fn]) for out, (_, fn) in spec.items()}
+
+
+def rebucket(batch: pa.Table, keys: list[str], spec: dict,
+             bucket_us: int) -> pa.Table:
+    """Partial rows keyed on ``keys`` + bucket_ts → partial rows at the
+    ``bucket_us`` grain, merged within the batch."""
+    bucket = pc.multiply(pc.divide(batch["bucket_ts"], bucket_us), bucket_us)
+    tbl = batch.select(keys + list(spec)).add_column(len(keys), "bucket_ts",
+                                                    bucket)
+    return group_moments(tbl, keys + ["bucket_ts"], merge_spec(spec))
+
+
+def merge_moments(partials_ds, keys: list[str], spec: dict):
+    """Merge partial rows per key tuple: ONE partition-cardinality shuffle
+    + a pandas fold per partition (3× faster than Ray's built-in
+    Sum/Min/Max aggregate at sf0.1 — 14.5 s → 4.6 s for lineitem — and
+    immune to its per-group overhead at corpus-scale key counts)."""
+    from matrixprofile_ray.util import partitioned_group_map
+
+    aggs = merge_spec(spec)
+
+    def fold(part):
+        return part.groupby(keys, as_index=False).agg(**aggs)
+
+    return partitioned_group_map(partials_ds, keys, fold)
 
 
 def partial_rollup(batch: pa.Table, bucket_us: int) -> pa.Table:
-    """Per-batch combiner: one partial row per (domain, bucket) in the batch."""
+    """Per-batch combiner: the page count per (domain, bucket) in the batch."""
     batch = add_domain(batch)
     ts = pc.cast(batch["warc_ts"], pa.int64())
-    bucket = pc.multiply(pc.divide(ts, bucket_us), bucket_us)
-    length = pc.cast(pc.utf8_length(batch["text"]), pa.float64())
-    tbl = pa.table(
-        {
-            "domain": batch["domain"],
-            "bucket_ts": bucket,
-            "nbytes": pc.cast(pc.binary_length(batch["html"]), pa.int64()),
-            "len": length,
-            "len_sq": pc.multiply(length, length),
-        }
-    )
-    agg = tbl.group_by(["domain", "bucket_ts"]).aggregate(
-        [
-            ("len", "count"),
-            ("nbytes", "sum"),
-            ("len", "sum"),
-            ("len_sq", "sum"),
-            ("len", "min"),
-            ("len", "max"),
-        ]
-    )
-    return agg.rename_columns(["domain", "bucket_ts"] + _PARTIAL_COLS)
-
-
-def merge_rollup_partials(partials_ds):
-    """Merge partial rows per (domain, bucket): one partition-cardinality
-    shuffle + a pandas fold per partition (Ray's built-in Sum/Min/Max
-    aggregate is ~3× slower and pays per-group overhead at corpus-scale
-    domain counts)."""
-    import pandas as pd
-
-    from matrixprofile_ray.util import partitioned_group_map
-
-    def fold(part: "pd.DataFrame") -> "pd.DataFrame":
-        return part.groupby(["domain", "bucket_ts"], as_index=False).agg(
-            count=("count", "sum"),
-            bytes=("bytes", "sum"),
-            sum_len=("sum_len", "sum"),
-            sum_sq_len=("sum_sq_len", "sum"),
-            min_len=("min_len", "min"),
-            max_len=("max_len", "max"),
-        )
-
-    return partitioned_group_map(partials_ds, ["domain", "bucket_ts"], fold)
-
-
-def finalize_rollup(batch: pa.Table, tier: str) -> pa.Table:
-    """Derive mean/std from merged moments and tag the tier."""
-    count = np.asarray(batch["count"], dtype="d")
-    s = np.asarray(batch["sum_len"], dtype="d")
-    s2 = np.asarray(batch["sum_sq_len"], dtype="d")
-    mean = s / count
-    var = np.maximum(s2 / count - mean * mean, 0.0)
-    out = batch.append_column("mean_len", pa.array(mean, pa.float64()))
-    out = out.append_column("std_len", pa.array(np.sqrt(var), pa.float64()))
-    out = out.append_column("tier", pa.array([tier] * batch.num_rows, pa.string()))
-    return out
-
-
-def cascade_partial(batch: pa.Table, bucket_us: int) -> pa.Table:
-    """Re-bucket an already-rolled-up tier to a coarser one (within-batch)."""
-    bucket = pc.multiply(pc.divide(batch["bucket_ts"], bucket_us), bucket_us)
-    tbl = batch.select(["domain"] + _PARTIAL_COLS).add_column(
-        1, "bucket_ts", bucket
-    )
-    agg = tbl.group_by(["domain", "bucket_ts"]).aggregate(
-        [
-            ("count", "sum"),
-            ("bytes", "sum"),
-            ("sum_len", "sum"),
-            ("sum_sq_len", "sum"),
-            ("min_len", "min"),
-            ("max_len", "max"),
-        ]
-    )
-    return agg.rename_columns(["domain", "bucket_ts"] + _PARTIAL_COLS)
+    tbl = pa.table({
+        "domain": batch["domain"],
+        "bucket_ts": pc.multiply(pc.divide(ts, bucket_us), bucket_us),
+    })
+    return group_moments(tbl, ["domain", "bucket_ts"], PAGE_MOMENTS)
 
 
 def rollup_partials(pages_ds, tier: str):
@@ -150,28 +137,7 @@ def rollup_partials(pages_ds, tier: str):
         lambda b: partial_rollup(b, bucket_us),
         batch_format="pyarrow",
     ).map_batches(
-        lambda b: cascade_partial(b, bucket_us),
+        lambda b: rebucket(b, ["domain"], PAGE_MOMENTS, bucket_us),
         batch_format="pyarrow",
         batch_size=COALESCE_ROWS,
-    )
-
-
-def rollup_tier(pages_ds, tier: str):
-    """pages Dataset → finalized bucket table for one tier."""
-    merged = merge_rollup_partials(rollup_partials(pages_ds, tier))
-    return merged.map_batches(
-        lambda b: finalize_rollup(b, tier), batch_format="pyarrow"
-    )
-
-
-def cascade_tier(bucket_ds, tier: str):
-    """Finer bucket table → coarser tier (partial + final + finalize)."""
-    bucket_us = TIERS[tier]
-    partials = bucket_ds.map_batches(
-        lambda b: cascade_partial(b, bucket_us),
-        batch_format="pyarrow",
-    )
-    merged = merge_rollup_partials(partials)
-    return merged.map_batches(
-        lambda b: finalize_rollup(b, tier), batch_format="pyarrow"
     )

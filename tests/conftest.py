@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -20,6 +21,31 @@ def ray_session():
     )
     yield ray
     ray.shutdown()
+
+
+@contextlib.contextmanager
+def _hash_shuffle_ctx():
+    """Force HASH_SHUFFLE on the current DataContext, sized for the tiny
+    test cluster, restoring the previous strategy afterwards."""
+    from ray.data.context import DataContext, ShuffleStrategy
+
+    ctx = DataContext.get_current()
+    saved = (
+        ctx.shuffle_strategy,
+        ctx.max_hash_shuffle_aggregators,
+        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override,
+    )
+    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    ctx.max_hash_shuffle_aggregators = 2
+    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
+    try:
+        yield ctx
+    finally:
+        (
+            ctx.shuffle_strategy,
+            ctx.max_hash_shuffle_aggregators,
+            ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override,
+        ) = saved
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

@@ -8,6 +8,8 @@ independent SQL oracle.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -16,8 +18,44 @@ import pytest
 from matrixprofile_ray.sources.pages import generate_pages, pages_dataset
 from matrixprofile_ray.stages.extract import add_domain, extract_text, verify_extraction
 from matrixprofile_ray.stages.rollup import TIERS
+from tests.conftest import _hash_shuffle_ctx
 
 N_PAGES = 4000
+
+
+def _sql_buckets(pages_table: pa.Table, bucket_us: int) -> pd.DataFrame:
+    """The page count per (domain, bucket) from DuckDB, sorted."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("pages", pages_table)
+    return con.execute(
+        f"""
+        SELECT regexp_extract(url, '^[a-z]+://([^/]+)', 1) AS domain,
+               (epoch_us(warc_ts) // {bucket_us}) * {bucket_us} AS bucket_ts,
+               count(*) AS count
+        FROM pages GROUP BY 1, 2 ORDER BY 1, 2
+        """
+    ).df()
+
+
+def _merged(partials_ds) -> pd.DataFrame:
+    """Page-count partials merged per (domain, bucket) through the
+    exchange, sorted."""
+    from matrixprofile_ray.stages.rollup import PAGE_MOMENTS, merge_moments
+
+    return (
+        merge_moments(partials_ds, ["domain", "bucket_ts"], PAGE_MOMENTS)
+        .to_pandas()
+        .sort_values(["domain", "bucket_ts"])
+        .reset_index(drop=True)
+    )
+
+
+def _assert_same_counts(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    assert len(got) == len(want)
+    for col in ("domain", "bucket_ts", "count"):
+        np.testing.assert_array_equal(got[col], want[col])
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +68,14 @@ def pages_ds(ray_session):
     return pages_dataset(N_PAGES)
 
 
+@pytest.fixture(scope="module")
+def blocky_ds(ray_session, pages_ds):
+    # many small blocks: every bucket's partials span several blocks
+    ds = pages_ds.repartition(40).materialize()
+    assert ds.num_blocks() == 40
+    return ds
+
+
 class TestCorpusDeterminism:
     def test_block_size_independent(self, pages_table):
         """Same rows regardless of how indices are batched."""
@@ -37,6 +83,12 @@ class TestCorpusDeterminism:
         parts = [generate_pages(np.arange(i, i + 20)) for i in range(0, 100, 20)]
         b = pa.concat_tables(parts)
         assert a.equals(b)
+        # past a few million tokens per call the token strings must still
+        # form one Arrow array
+        big = generate_pages(np.arange(40_000))
+        parts = [generate_pages(np.arange(i, i + 10_000))
+                 for i in range(0, 40_000, 10_000)]
+        assert big.equals(pa.concat_tables(parts))
 
     def test_schema_matches_input_hint(self, pages_table):
         assert pages_table.schema.names == ["url", "warc_ts", "html", "text", "lang"]
@@ -73,75 +125,37 @@ class TestExtraction:
 
 class TestRollupVsDuckdb:
     @pytest.mark.parametrize("tier", ["raw", "1h", "1d"])
-    def test_tier_matches_sql(self, ray_session, pages_ds, pages_table, tier):
-        import duckdb
+    def test_tier_matches_sql(self, blocky_ds, pages_table, tier):
+        from matrixprofile_ray.stages.rollup import rollup_partials
 
-        from matrixprofile_ray.stages.rollup import rollup_tier
-
-        got = (
-            rollup_tier(pages_ds, tier)
-            .to_pandas()
-            .sort_values(["domain", "bucket_ts"])
-            .reset_index(drop=True)
-        )
-        bucket_us = TIERS[tier]
-        con = duckdb.connect()
-        con.register("pages", pages_table)
-        want = con.execute(
-            f"""
-            SELECT regexp_extract(url, '^[a-z]+://([^/]+)', 1) AS domain,
-                   (epoch_us(warc_ts) // {bucket_us}) * {bucket_us} AS bucket_ts,
-                   count(*) AS count,
-                   sum(octet_length(html)) AS bytes,
-                   sum(length(text)) AS sum_len,
-                   min(length(text)) AS min_len,
-                   max(length(text)) AS max_len,
-                   avg(length(text)) AS mean_len
-            FROM pages GROUP BY 1, 2 ORDER BY 1, 2
-            """
-        ).df()
-        assert len(got) == len(want)
-        np.testing.assert_array_equal(got["domain"], want["domain"])
-        np.testing.assert_array_equal(got["bucket_ts"], want["bucket_ts"])
-        np.testing.assert_array_equal(got["count"], want["count"])
-        np.testing.assert_array_equal(got["bytes"], want["bytes"])
-        np.testing.assert_almost_equal(got["mean_len"].to_numpy(), want["mean_len"].to_numpy())
+        got = _merged(rollup_partials(blocky_ds, tier))
+        _assert_same_counts(got, _sql_buckets(pages_table, TIERS[tier]))
 
     def test_cascade_equals_direct(self, ray_session, pages_ds):
-        """1d from the 1h table == 1d straight from pages."""
-        from matrixprofile_ray.stages.rollup import cascade_tier, rollup_tier
+        """1d re-bucketed from the merged 1h partials == 1d straight from
+        pages."""
+        import ray.data as rd
 
-        h1 = rollup_tier(pages_ds, "1h").materialize()
-        via_cascade = (
-            cascade_tier(h1, "1d").to_pandas()
-            .sort_values(["domain", "bucket_ts"]).reset_index(drop=True)
+        from matrixprofile_ray.stages.rollup import (
+            PAGE_MOMENTS,
+            rebucket,
+            rollup_partials,
         )
-        direct = (
-            rollup_tier(pages_ds, "1d").to_pandas()
-            .sort_values(["domain", "bucket_ts"]).reset_index(drop=True)
-        )
-        for col in ("count", "bytes", "sum_len", "min_len", "max_len"):
-            np.testing.assert_array_equal(via_cascade[col], direct[col])
-        np.testing.assert_almost_equal(
-            via_cascade["mean_len"].to_numpy(), direct["mean_len"].to_numpy()
-        )
-        np.testing.assert_almost_equal(
-            via_cascade["std_len"].to_numpy(), direct["std_len"].to_numpy()
-        )
+
+        h1 = _merged(rollup_partials(pages_ds, "1h"))
+        via_cascade = _merged(rd.from_pandas(h1).map_batches(
+            lambda b: rebucket(b, ["domain"], PAGE_MOMENTS, TIERS["1d"]),
+            batch_format="pyarrow",
+        ))
+        assert len(via_cascade) < len(h1)
+        _assert_same_counts(via_cascade, _merged(rollup_partials(pages_ds, "1d")))
 
 
 class TestFusedSeriesEquivalence:
-    """The flagship's fused one-shuffle path vs the unfused per-tier path
-    (bucket tables, then one series assembly per tier)."""
+    """The flagship's fused one-shuffle path vs an unfused per-tier path
+    (DuckDB bucket tables, then one series assembly per tier)."""
 
     TIERS = ("1h", "1d", "7d")
-
-    @pytest.fixture(scope="class")
-    def blocky_ds(self, ray_session, pages_ds):
-        # many small blocks: every bucket's partials span several blocks
-        ds = pages_ds.repartition(40).materialize()
-        assert ds.num_blocks() == 40
-        return ds
 
     def test_partials_reach_exchange_coalesced(self, blocky_ds):
         from matrixprofile_ray.stages.rollup import COALESCE_ROWS, rollup_partials
@@ -174,28 +188,50 @@ class TestFusedSeriesEquivalence:
         for g, w in zip(got["values"], want["values"]):
             assert g.tobytes() == w.tobytes()
 
-    def test_fused_equals_per_tier(self, blocky_ds):
-        from matrixprofile_ray.pipelines.flagship import (
-            bucket_tiers,
-            series_all_tiers,
-            series_for_tier,
-        )
+    @pytest.fixture(scope="class")
+    def per_tier(self, ray_session, pages_table):
+        """Per-tier series assembled from DuckDB bucket tables."""
+        import ray.data as rd
 
-        fused = series_all_tiers(blocky_ds, tiers=self.TIERS).to_pandas()
-        buckets = bucket_tiers(blocky_ds, tiers=self.TIERS)
+        from matrixprofile_ray.pipelines.timeseries import series_from_buckets
+
+        return {
+            tier: series_from_buckets(
+                rd.from_pandas(_sql_buckets(pages_table, TIERS[tier])),
+                TIERS[tier], key="domain", tier=tier,
+            ).to_pandas().sort_values("domain").reset_index(drop=True)
+            for tier in self.TIERS
+        }
+
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    def test_fused_equals_per_tier(self, pages_table, per_tier, shuffle):
+        """Under the sort-shuffle fallback small clusters take and under
+        the HASH_SHUFFLE path ``ensure_hash_shuffle`` picks at ≥8 CPUs."""
+        import ray.data as rd
+
+        from matrixprofile_ray.pipelines.flagship import series_all_tiers
+        from matrixprofile_ray.util import _hash_shuffle_active
+
+        ctx = _hash_shuffle_ctx() if shuffle == "hash" else contextlib.nullcontext()
+        with ctx:
+            assert _hash_shuffle_active() == (shuffle == "hash")
+            # many small blocks: every bucket's partials span several
+            # blocks; built here because Ray snapshots the DataContext
+            # when the source dataset is created
+            ds = rd.from_arrow([pages_table.slice(i, 100)
+                                for i in range(0, N_PAGES, 100)])
+            fused = series_all_tiers(ds, tiers=self.TIERS).to_pandas()
         assert set(fused["tier"]) == set(self.TIERS)
         for tier in self.TIERS:
             got = (
                 fused[fused["tier"] == tier]
                 .sort_values("domain").reset_index(drop=True)
             )
-            want = (
-                series_for_tier(buckets[tier], tier).to_pandas()
-                .sort_values("domain").reset_index(drop=True)
-            )
+            want = per_tier[tier]
             assert got["domain"].tolist() == want["domain"].tolist()
             np.testing.assert_array_equal(got["n"], want["n"])
             np.testing.assert_array_equal(got["n_gaps"], want["n_gaps"])
+            np.testing.assert_array_equal(got["start_ts"], want["start_ts"])
             for g, w in zip(got["values"], want["values"]):
                 assert np.asarray(g, dtype="d").tobytes() == (
                     np.asarray(w, dtype="d").tobytes()
@@ -204,42 +240,32 @@ class TestFusedSeriesEquivalence:
 
 class TestGapfill:
     def test_dense_grid_and_values(self):
-        from matrixprofile_ray.stages.gapfill import assemble_series
+        from matrixprofile_ray.stages.gapfill import assemble_series_row
 
-        bucket_us = 1000
-        group = pd.DataFrame(
-            {
-                "domain": ["d"] * 3,
-                "bucket_ts": [0, 3000, 5000],
-                "count": [10.0, 20.0, 30.0],
-            }
+        out = assemble_series_row(
+            "d", np.array([0, 3000, 5000]), np.array([10.0, 20.0, 30.0]),
+            1000, "raw", add_noise=False,
         )
-        out = assemble_series(group, bucket_us, "raw", add_noise=False)
-        assert out["n"].iloc[0] == 6
-        values = out["values"].iloc[0]
+        assert out["n"] == 6
+        values = out["values"]
         assert values[0] == 10.0 and values[3] == 20.0 and values[5] == 30.0
         assert np.all(np.isfinite(values))
-        assert out["n_gaps"].iloc[0] == 3
+        assert out["n_gaps"] == 3
 
     def test_truncation_cap(self):
-        from matrixprofile_ray.stages.gapfill import assemble_series
+        from matrixprofile_ray.stages.gapfill import assemble_series_row
 
-        group = pd.DataFrame(
-            {
-                "domain": ["d", "d"],
-                "bucket_ts": [0, 10_000_000],
-                "count": [1.0, 2.0],
-            }
+        out = assemble_series_row(
+            "d", np.array([0, 10_000_000]), np.array([1.0, 2.0]), 1000,
+            "raw", max_buckets=100,
         )
-        out = assemble_series(group, 1000, "raw", max_buckets=100)
-        assert out["n"].iloc[0] == 100
-        assert bool(out["truncated"].iloc[0])
+        assert out["n"] == 100
+        assert out["truncated"]
 
     def test_series_through_ray(self, ray_session, pages_ds):
-        from matrixprofile_ray.pipelines.flagship import bucket_tiers, series_for_tier
+        from matrixprofile_ray.pipelines.flagship import series_all_tiers
 
-        buckets = bucket_tiers(pages_ds, tiers=("1d",))["1d"]
-        series = series_for_tier(buckets, "1d").to_pandas()
+        series = series_all_tiers(pages_ds, tiers=("1d",)).to_pandas()
         # one row per domain, dense grid
         assert series["domain"].is_unique
         for _, row in series.iterrows():
@@ -249,11 +275,10 @@ class TestGapfill:
 
 class TestGorillaStage:
     def test_roundtrip_through_ray(self, ray_session, pages_ds):
-        from matrixprofile_ray.pipelines.flagship import bucket_tiers, series_for_tier
+        from matrixprofile_ray.pipelines.flagship import series_all_tiers
         from matrixprofile_ray.stages.encode import decode_series, encode_series
 
-        buckets = bucket_tiers(pages_ds, tiers=("1d",))["1d"]
-        series = series_for_tier(buckets, "1d").materialize()
+        series = series_all_tiers(pages_ds, tiers=("1d",)).materialize()
         enc = series.map_batches(encode_series, batch_format="pandas")
         dec = enc.map_batches(decode_series, batch_format="pandas").to_pandas()
         orig = series.to_pandas().set_index("domain")
@@ -291,7 +316,7 @@ class TestParquetCorpusPath:
         import ray.data as rd
 
         from matrixprofile_ray.sources.pages import pages_parquet
-        from matrixprofile_ray.stages.rollup import rollup_tier
+        from matrixprofile_ray.stages.rollup import rollup_partials
 
         corpus = str(tmp_path / "corpus")
         pages_parquet(corpus, 2000)
@@ -299,10 +324,7 @@ class TestParquetCorpusPath:
             corpus, columns=["url", "warc_ts", "html", "text"]
         )
         assert set(pruned.schema().names) == {"url", "warc_ts", "html", "text"}
-        got = rollup_tier(pruned, "1d").to_pandas()
+        got = _merged(rollup_partials(pruned, "1d"))
         # must equal the in-flight generated rollup
-        want = rollup_tier(pages_dataset(2000), "1d").to_pandas()
-        got = got.sort_values(["domain", "bucket_ts"]).reset_index(drop=True)
-        want = want.sort_values(["domain", "bucket_ts"]).reset_index(drop=True)
-        np.testing.assert_array_equal(got["count"], want["count"])
-        np.testing.assert_array_equal(got["bytes"], want["bytes"])
+        want = _merged(rollup_partials(pages_dataset(2000), "1d"))
+        _assert_same_counts(got, want)

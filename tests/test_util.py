@@ -5,36 +5,11 @@ which poison the schema broadcast of any downstream keyed shuffle)."""
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 import pandas as pd
 import pytest
 
-
-@contextlib.contextmanager
-def _hash_shuffle_ctx():
-    """Force HASH_SHUFFLE on the current DataContext, sized for the tiny
-    test cluster, restoring the previous strategy afterwards."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    ctx = DataContext.get_current()
-    saved = (
-        ctx.shuffle_strategy,
-        ctx.max_hash_shuffle_aggregators,
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override,
-    )
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ctx.max_hash_shuffle_aggregators = 2
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    try:
-        yield ctx
-    finally:
-        (
-            ctx.shuffle_strategy,
-            ctx.max_hash_shuffle_aggregators,
-            ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override,
-        ) = saved
+from tests.conftest import _hash_shuffle_ctx
 
 
 def _make_fold():

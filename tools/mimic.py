@@ -17,12 +17,13 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SF = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 NAMES = sys.argv[2].split(",") if len(sys.argv) > 2 else None
 
@@ -41,8 +42,9 @@ con = duckdb.connect()
 # CTEs then die with bad_alloc instead of spilling. A hard limit plus a
 # temp_directory makes them spill to disk and finish.
 con.execute("SET memory_limit='40GB'")
-os.makedirs("/tmp/duckdb_spill", exist_ok=True)
-con.execute("SET temp_directory='/tmp/duckdb_spill'")
+spill = os.path.join(tempfile.gettempdir(), "duckdb_spill")
+os.makedirs(spill, exist_ok=True)
+con.execute(f"SET temp_directory='{spill}'")
 for t in TABLES:
     p = os.path.join(SF, f"{t}.parquet")
     if os.path.exists(p):
