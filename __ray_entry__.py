@@ -548,10 +548,7 @@ def q_pmp_w24_1h(sf_dir: str):
 
     work_ds = _series_1h(sf_dir).map_batches(fan_out, batch_format="pandas")
     profiles = work_ds.map_batches(
-        ProfileStage,
-        fn_constructor_kwargs={
-            "window": None, "algorithm": "mpx", "key_col": "event_type",
-        },
+        ProfileStage(window=None, algorithm="mpx", key_col="event_type"),
         batch_format="pandas",
         batch_size=4,
         concurrency=2,
@@ -2266,8 +2263,8 @@ def entry() -> Any:
         profile_series,
     )
 
-    # materialize between the two actor pools: under tiny test sessions
-    # (4 CPUs) two concurrently-reserved pools starve the upstream read
+    # materialize the profiles, then discover: the two task stages run one
+    # after the other, not interleaved on a small session's few CPUs
     profiles = profile_series(
         _series_1h(sf_dir), 24, algorithm="mpx"
     ).materialize()

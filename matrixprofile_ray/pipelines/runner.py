@@ -176,7 +176,7 @@ def run_resumable(
         t0 = time.time()
         shard_series = rd.read_parquet(shard_dir)
         n_in = shard_series.count()
-        # one task per block: split so the actor pool load-balances
+        # one task per block: split so the profile tasks load-balance
         shard_series = shard_series.repartition(max(1, n_in // 2)).materialize()
 
         gorilla = shard_series.map_batches(
@@ -184,13 +184,11 @@ def run_resumable(
         )
         gorilla.write_parquet(os.path.join(out_dir, "gorilla", f"shard={k}"))
 
+        # both stages hold only config: configured instances run as
+        # tasks (profile_concurrency caps the concurrent tasks)
         profiles = shard_series.map_batches(
-            ProfileStage,
-            fn_constructor_kwargs={
-                "window": window,
-                "algorithm": algorithm,
-                "carry_values": True,
-            },
+            ProfileStage(window=window, algorithm=algorithm,
+                         carry_values=True),
             batch_format="pandas",
             batch_size=4,
             concurrency=profile_concurrency,
@@ -200,7 +198,7 @@ def run_resumable(
         ).write_parquet(os.path.join(out_dir, "profiles", f"shard={k}"))
 
         discoveries = profiles.map_batches(
-            DiscoveryStage,
+            DiscoveryStage(),
             batch_format="pandas",
             batch_size=4,
             concurrency=profile_concurrency,

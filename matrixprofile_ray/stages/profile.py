@@ -3,13 +3,13 @@
 Usage: ``series_ds.map_batches(ProfileStage(window=..., algorithm='mpx'),
 batch_format='pandas', batch_size=B, concurrency=N)``.
 
-``ProfileStage`` holds only validated config, so an INSTANCE runs as
-stateless Ray tasks (the flagship does this: no actor start-up per job,
-no CPUs held between stages). Passing the class itself with
-``fn_constructor_kwargs`` runs it as an actor pool instead
-(``pipelines/timeseries.py``, ``pipelines/runner.py``). Each call handles
-one batch of series rows. One row = one series = one kernel invocation —
-the per-batch "loop" iterates over a handful of heavy numpy kernel calls,
+``ProfileStage`` holds only validated config, so every call site
+(``pipelines/flagship.py``, ``pipelines/timeseries.py``,
+``pipelines/runner.py`` and the driver's SKIMP fan-out) passes a
+configured INSTANCE, which runs as stateless Ray tasks: no actor start-up
+per job, no CPUs held between stages. Each call handles one batch of
+series rows. One row = one series = one kernel invocation — the
+per-batch "loop" iterates over a handful of heavy numpy kernel calls,
 not scalar work.
 
 Profile schema (SURVEY §1.2): columnar port of the reference profile dict

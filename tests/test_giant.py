@@ -62,7 +62,7 @@ class TestMpxDistributed:
 
     def test_profile_series_giant_routing_equivalent(self, ray_session):
         """profile_series with a tiny giant_threshold must produce the same
-        profiles as the pure actor-pool path (fan-out replaces silent
+        profiles as the plain per-series task path (fan-out replaces silent
         truncation, not semantics)."""
         import pandas as pd
         import ray.data as rd

@@ -1,13 +1,18 @@
-"""Generic timeseries pipeline: salted two-phase rollup equivalence and
-cascade exactness over the events table."""
+"""Generic timeseries pipeline: salted two-phase rollup equivalence,
+cascade exactness and series assembly over the events table (under both
+shuffle paths), and the task-form profile/discovery stages."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
+
+from tests.conftest import _hash_shuffle_ctx
 
 SF = "/root/testdata/sf0.001"
 
@@ -18,33 +23,53 @@ needs_testdata = pytest.mark.skipif(
 H1 = 3_600_000_000
 D1 = 86_400_000_000
 
+# the sort-shuffle fallback small clusters take, and the HASH_SHUFFLE
+# path ``ensure_hash_shuffle`` picks at >=8 CPUs
+SHUFFLES = pytest.mark.parametrize("shuffle", ["sort", "hash"])
 
-def _events(ray_session):
+
+@contextlib.contextmanager
+def _shuffle(shuffle: str):
+    from matrixprofile_ray.util import _hash_shuffle_active
+
+    ctx = _hash_shuffle_ctx() if shuffle == "hash" else contextlib.nullcontext()
+    with ctx:
+        assert _hash_shuffle_active() == (shuffle == "hash")
+        yield
+
+
+def _events(blocks: int = 10):
+    """The sf0.001 events in ``blocks`` blocks, so a bucket's partials
+    span several blocks. Build it inside the shuffle context: Ray
+    snapshots the DataContext when the source dataset is created."""
     import ray.data as rd
 
-    return rd.read_parquet(
-        os.path.join(SF, "events.parquet"),
-        columns=["event_type", "ts", "value"],
-    )
+    tbl = pq.read_table(os.path.join(SF, "events.parquet"),
+                        columns=["event_type", "ts", "value"])
+    step = -(-tbl.num_rows // blocks)
+    return rd.from_arrow([tbl.slice(i, step)
+                          for i in range(0, tbl.num_rows, step)])
 
 
 @needs_testdata
 class TestSaltedRollup:
-    def test_salted_equals_unsalted(self, ray_session):
+    @SHUFFLES
+    def test_salted_equals_unsalted(self, ray_session, shuffle):
         from matrixprofile_ray.pipelines.timeseries import rollup_events
 
-        plain = (
-            rollup_events(_events(ray_session), H1)
-            .to_pandas()
-            .sort_values(["event_type", "bucket_ts"])
-            .reset_index(drop=True)
-        )
-        salted = (
-            rollup_events(_events(ray_session), H1, salt=4)
-            .to_pandas()
-            .sort_values(["event_type", "bucket_ts"])
-            .reset_index(drop=True)
-        )
+        with _shuffle(shuffle):
+            plain = (
+                rollup_events(_events(), H1)
+                .to_pandas()
+                .sort_values(["event_type", "bucket_ts"])
+                .reset_index(drop=True)
+            )
+            salted = (
+                rollup_events(_events(), H1, salt=4)
+                .to_pandas()
+                .sort_values(["event_type", "bucket_ts"])
+                .reset_index(drop=True)
+            )
         assert len(plain) == len(salted)
         np.testing.assert_array_equal(plain["count"], salted["count"])
         np.testing.assert_allclose(
@@ -58,32 +83,151 @@ class TestSaltedRollup:
             plain["max_value"], salted["max_value"]
         )
 
-    def test_cascade_from_salted_partials(self, ray_session):
+    @SHUFFLES
+    def test_cascade_from_salted_partials(self, ray_session, shuffle):
         from matrixprofile_ray.pipelines.timeseries import (
             cascade_events,
             rollup_events,
         )
 
-        direct = (
-            rollup_events(_events(ray_session), D1)
-            .to_pandas()
-            .sort_values(["event_type", "bucket_ts"])
-            .reset_index(drop=True)
-        )
-        partials = rollup_events(
-            _events(ray_session), H1, keep_partials=True, salt=4
-        )
-        cascaded = (
-            cascade_events(partials, D1)
-            .to_pandas()
-            .sort_values(["event_type", "bucket_ts"])
-            .reset_index(drop=True)
-        )
+        with _shuffle(shuffle):
+            direct = (
+                rollup_events(_events(), D1)
+                .to_pandas()
+                .sort_values(["event_type", "bucket_ts"])
+                .reset_index(drop=True)
+            )
+            partials = rollup_events(
+                _events(), H1, keep_partials=True, salt=4
+            )
+            cascaded = (
+                cascade_events(partials, D1)
+                .to_pandas()
+                .sort_values(["event_type", "bucket_ts"])
+                .reset_index(drop=True)
+            )
         np.testing.assert_array_equal(direct["count"], cascaded["count"])
         np.testing.assert_allclose(
             direct["mean_value"].to_numpy(), cascaded["mean_value"].to_numpy(),
             atol=1e-9,
         )
+
+
+@needs_testdata
+class TestEventSeries:
+    @SHUFFLES
+    def test_series_spans_match_duckdb(self, ray_session, shuffle):
+        """Each key's 1h series starts at its first DuckDB bucket, spans
+        first..last bucket densely, and has one gap per empty bucket."""
+        import duckdb
+
+        from matrixprofile_ray.pipelines.timeseries import (
+            rollup_events,
+            series_from_buckets,
+        )
+
+        with _shuffle(shuffle):
+            got = (
+                series_from_buckets(rollup_events(_events(), H1), H1)
+                .to_pandas()
+                .sort_values("event_type")
+                .reset_index(drop=True)
+            )
+        want = duckdb.connect().execute(
+            f"""
+            WITH b AS (
+                SELECT event_type, (epoch_us(ts) // {H1}) * {H1} AS bucket_ts
+                FROM '{os.path.join(SF, "events.parquet")}' GROUP BY 1, 2)
+            SELECT event_type,
+                   min(bucket_ts) AS start_ts,
+                   (max(bucket_ts) - min(bucket_ts)) // {H1} + 1 AS n,
+                   (max(bucket_ts) - min(bucket_ts)) // {H1} + 1 - count(*)
+                       AS n_gaps
+            FROM b GROUP BY 1 ORDER BY 1
+            """
+        ).df()
+        assert got["event_type"].tolist() == want["event_type"].tolist()
+        for col in ("start_ts", "n", "n_gaps"):
+            np.testing.assert_array_equal(
+                got[col].to_numpy(dtype=np.int64),
+                want[col].to_numpy(dtype=np.int64),
+            )
+        assert not got["truncated"].any()
+        assert [len(v) for v in got["values"]] == got["n"].tolist()
+
+
+def _series_rows() -> pd.DataFrame:
+    """Series rows for six keys; k1 (30 points) is too short for w=24."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for i, n in enumerate([200, 30, 350, 120, 500, 90]):
+        rows.append({
+            "event_type": f"k{i}", "tier": "1h", "start_ts": 0,
+            "bucket_us": H1, "n": n, "n_gaps": 0, "truncated": False,
+            "values": np.cumsum(rng.normal(size=n)),
+        })
+    return pd.DataFrame(rows)
+
+
+class TestTaskStages:
+    """``profile_series``/``discover_series`` run their stages as Ray
+    tasks; the result is the stage called in-process on the same rows."""
+
+    @pytest.mark.parametrize("concurrency", [1, None], ids=["1", "default"])
+    def test_task_form_equals_in_process(self, ray_session, concurrency):
+        import ray.data as rd
+
+        from matrixprofile_ray.pipelines.timeseries import (
+            discover_series,
+            profile_series,
+        )
+        from matrixprofile_ray.stages.discovery import DiscoveryStage
+        from matrixprofile_ray.stages.profile import ProfileStage
+
+        kw = {} if concurrency is None else {"concurrency": concurrency}
+        df = _series_rows()
+        ds = rd.from_pandas([df.iloc[i:i + 2] for i in range(0, len(df), 2)])
+        assert ds.num_blocks() == 3
+
+        prof_ds = profile_series(ds, 24, **kw).materialize()
+        got = prof_ds.to_pandas().sort_values("event_type").reset_index(drop=True)
+        want = (
+            ProfileStage(window=24, key_col="event_type")(df)
+            .sort_values("event_type").reset_index(drop=True)
+        )
+        assert got["event_type"].tolist() == ["k0", "k2", "k3", "k4", "k5"]
+        assert want["event_type"].tolist() == got["event_type"].tolist()
+        for col in ("n", "w", "ez"):
+            np.testing.assert_array_equal(
+                got[col].to_numpy(dtype=np.int64),
+                want[col].to_numpy(dtype=np.int64),
+            )
+        for col, dtype in (("mp", "d"), ("pi", np.int64)):
+            for g, w in zip(got[col], want[col]):
+                assert np.asarray(g, dtype=dtype).tobytes() == (
+                    np.asarray(w, dtype=dtype).tobytes()
+                )
+
+        order = ["event_type", "kind", "rank"]
+        disc = (
+            discover_series(prof_ds, **kw).to_pandas()
+            .sort_values(order, kind="stable").reset_index(drop=True)
+        )
+        want_disc = (
+            DiscoveryStage(key_col="event_type")(got)
+            .sort_values(order, kind="stable").reset_index(drop=True)
+        )
+        assert len(disc) == len(want_disc) > 0
+        assert list(disc.columns) == list(want_disc.columns)
+        for col in disc.columns:
+            if col == "neighbors":
+                for g, w in zip(disc[col], want_disc[col]):
+                    np.testing.assert_array_equal(
+                        np.asarray(g, dtype=np.int64),
+                        np.asarray(w, dtype=np.int64),
+                    )
+            else:
+                assert disc[col].tolist() == want_disc[col].tolist(), col
 
 
 class TestRollupExactMuSums:

@@ -2,6 +2,12 @@
 row count, schema (column names), and a value hash over name-sorted
 columns — the same comparison shape as CORRECTNESS_r*.json.
 
+Output: ONE JSON line, last on stdout (read it with ``tail -1``; Ray may
+print warnings ahead of it); per-query diagnostics go to stderr. Every
+entry carries ``ray_rows`` and ``ray_hash`` (``value_hash`` of the Ray
+result); a name without an ``oracle_sql()`` entry reports only those, so
+a parent/change comparison can cover queries that have no oracle.
+
 OPERATIONAL LIMIT: one process exhausts vm.max_map_count (65530) after
 roughly 100 query executions — Ray Data + Arrow + DuckDB accumulate
 memory maps per dataset run, and at the ceiling mmap-backed allocations
@@ -86,25 +92,31 @@ for name in names:
         _t0 = _time.time()
         got = to_df(qs[name](SF))
         _t1 = _time.time()
+        entry = {"ray_rows": len(got), "ray_hash": value_hash(got)}
+        out[name] = entry
+        if name not in oracles:
+            print(f"[mimic] {name}: ray {_t1 - _t0:.1f}s (no oracle)",
+                  file=sys.stderr, flush=True)
+            continue
         want = con.execute(oracles[name]).df()
         print(f"[mimic] {name}: ray {_t1 - _t0:.1f}s "
               f"oracle {_time.time() - _t1:.1f}s",
               file=sys.stderr, flush=True)
         rows = len(got) == len(want)
         schema = sorted(got.columns) == sorted(want.columns)
-        hm = value_hash(got) == value_hash(want) if rows and schema else False
-        out[name] = {"rows_match": rows, "schema_match": schema,
-                     "hash_match": hm, "ray_rows": len(got),
-                     "oracle_rows": len(want)}
+        hm = (entry["ray_hash"] == value_hash(want)
+              if rows and schema else False)
+        entry.update({"rows_match": rows, "schema_match": schema,
+                      "hash_match": hm, "oracle_rows": len(want)})
         if not hm:
-            print(f"--- {name} MISMATCH")
-            print("ray cols:", list(got.columns))
-            print("sql cols:", list(want.columns))
-            print(got.head(3))
-            print(want.head(3))
+            print(f"--- {name} MISMATCH", file=sys.stderr)
+            print("ray cols:", list(got.columns), file=sys.stderr)
+            print("sql cols:", list(want.columns), file=sys.stderr)
+            print(got.head(3), file=sys.stderr)
+            print(want.head(3), file=sys.stderr)
     except Exception as ex:
-        out[name] = {"err": f"{type(ex).__name__}: {ex}"}
-        print(f"--- {name} ERROR: {ex}")
+        out.setdefault(name, {})["err"] = f"{type(ex).__name__}: {ex}"
+        print(f"--- {name} ERROR: {ex}", file=sys.stderr)
 
-print(json.dumps(out, indent=1))
 ray.shutdown()
+print(json.dumps(out), flush=True)
