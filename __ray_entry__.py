@@ -36,29 +36,24 @@ def _read(sf_dir: str, table: str, columns=None):
     )
 
 
-def _round_floats(df: pd.DataFrame, cols, decimals: int = 6) -> pd.DataFrame:
+def _round_floats(df: pd.DataFrame, cols) -> pd.DataFrame:
     """ROUND(x, 6) with SQL half-away-from-zero semantics on every column
     — every oracle rounds with DuckDB ROUND, and np.round's half-to-even
     flips exact-half boundary rows (observed on rollup_1h means at
     sf0.1), so the engine side must use the same rule."""
     from matrixprofile_ray.stages.relational import _round6_away
 
-    assert decimals == 6, "oracles round at 6; _round6_away is fixed there"
     for c in cols:
         df[c] = _round6_away(df[c].to_numpy(dtype="float64"))
     return df
 
 
-def _mu_rollup_cols(df: pd.DataFrame) -> pd.DataFrame:
-    """Replace the float sum/mean of a rollup frame with the exact
-    micro-unit derivation (sum_mu/1e6, then /count) so the values are
-    partitioning-independent, then drop the helper column. The division
-    order mirrors the oracle SQL expression exactly."""
-    mu = df.pop("sum_mu").to_numpy(dtype=np.int64)
-    sv = mu.astype(np.float64) / 1e6
-    df["sum_value"] = sv
-    df["mean_value"] = sv / df["count"].to_numpy(dtype=np.float64)
-    return df
+def _rollup_frame(buckets) -> pd.DataFrame:
+    """An events bucket table as the rollup oracles see it: ``sum_mu``
+    dropped, the float moments rounded."""
+    df = buckets.to_pandas().drop(columns="sum_mu")
+    return _round_floats(
+        df, ["sum_value", "min_value", "max_value", "mean_value"])
 
 
 def _round6_away_arr(x) -> np.ndarray:
@@ -103,8 +98,7 @@ def _rollup(sf_dir: str, bucket_us: int) -> pd.DataFrame:
 
     _assert_mu_lossless(sf_dir, "events", "value")
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    df = _mu_rollup_cols(rollup_events(ds, bucket_us).to_pandas())
-    return _round_floats(df, ["sum_value", "min_value", "max_value", "mean_value"])
+    return _rollup_frame(rollup_events(ds, bucket_us))
 
 
 def q_rollup_1h(sf_dir: str):
@@ -123,8 +117,7 @@ def q_rollup_7d_cascade(sf_dir: str):
     _assert_mu_lossless(sf_dir, "events", "value")
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
     partials_1d = rollup_events(ds, D1, keep_partials=True)
-    df = _mu_rollup_cols(cascade_events(partials_1d, D7).to_pandas())
-    return _round_floats(df, ["sum_value", "min_value", "max_value", "mean_value"])
+    return _rollup_frame(cascade_events(partials_1d, D7))
 
 
 def _rollup_sql(bucket_us: int) -> str:
@@ -148,9 +141,9 @@ def q_rollup_user_1d(sf_dir: str):
 
     _assert_mu_lossless(sf_dir, "events", "value")
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    df = _mu_rollup_cols(rollup_events(ds, D1, key="user_id").to_pandas())
+    df = _rollup_frame(rollup_events(ds, D1, key="user_id"))
     df["user_id"] = df["user_id"].astype("int64")
-    return _round_floats(df, ["sum_value", "min_value", "max_value", "mean_value"])
+    return df
 
 
 def q_rollup_lineitem_1d(sf_dir: str):
@@ -162,11 +155,10 @@ def q_rollup_lineitem_1d(sf_dir: str):
         sf_dir, "lineitem",
         columns=["l_returnflag", "l_shipdate", "l_quantity"],
     )
-    df = _mu_rollup_cols(rollup_events(
+    return _rollup_frame(rollup_events(
         ds, D1, key="l_returnflag", ts_col="l_shipdate",
         value_col="l_quantity",
-    ).to_pandas())
-    return _round_floats(df, ["sum_value", "min_value", "max_value", "mean_value"])
+    ))
 
 
 def q_resume_rollup_1d(sf_dir: str):
@@ -188,10 +180,9 @@ def q_resume_rollup_1d(sf_dir: str):
     import ray.data as rd
 
     from matrixprofile_ray.pipelines.timeseries import (
-        EVENT_MOMENTS,
+        cascade_events,
         rollup_events,
     )
-    from matrixprofile_ray.stages.rollup import merge_moments
     from matrixprofile_ray.state.lineage import (
         LineageWriter,
         filter_completed,
@@ -238,29 +229,11 @@ def q_resume_rollup_1d(sf_dir: str):
             run_partition(pid)
         assert filter_completed(all_ids, out_dir, "rollup_1d") == []
 
-        merged = merge_moments(
-            rd.read_parquet(os.path.join(out_dir, "rollup_1d")),
-            ["key", "bucket_ts"],
-            EVENT_MOMENTS,
-        ).to_pandas()
+        # the resumed partials merged at the same grain
+        return _rollup_frame(cascade_events(
+            rd.read_parquet(os.path.join(out_dir, "rollup_1d")), D1))
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
-
-    mu = merged["sum_mu"].to_numpy(dtype=np.int64)
-    cnt = merged["count"].to_numpy(dtype=np.int64)
-    sv = mu.astype(np.float64) / 1e6
-    df = pd.DataFrame({
-        "event_type": merged["key"],
-        "bucket_ts": merged["bucket_ts"].astype("int64"),
-        "count": cnt,
-        "sum_value": sv,
-        "min_value": merged["min_value"].to_numpy(dtype="d"),
-        "max_value": merged["max_value"].to_numpy(dtype="d"),
-        "mean_value": sv / cnt.astype(np.float64),
-    })
-    return _round_floats(
-        df, ["sum_value", "min_value", "max_value", "mean_value"]
-    )
 
 
 def q_events_topk(sf_dir: str):

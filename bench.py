@@ -80,7 +80,7 @@ def bench_flagship(num_cpus: int, n_pages: int,
 
         pages_parquet(corpus_dir, n_pages, n_domains=n_domains)
         t0 = time.time()  # read path: exclude the one-time corpus write
-        ensure_hash_shuffle(parallelism_mult=2)
+        ensure_hash_shuffle()
         pages = rd.read_parquet(
             corpus_dir, columns=["url", "warc_ts", "html", "text"]
         )

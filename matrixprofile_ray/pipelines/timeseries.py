@@ -4,14 +4,15 @@ The same rollup → cascade → gap-fill → matrix-profile → discovery topolo
 as the flagship pages pipeline, parameterized on column names so it drives
 both the synthetic Common-Crawl corpus and arbitrary event streams (the
 driver's `events` table). Partial, merge and cascade run on the
-moment-partial core in ``stages.rollup`` with the ``EVENT_MOMENTS`` spec
-(count/sum/sum_sq/min/max plus the exact micro-unit ``sum_mu``). The
-partials are not coalesced before the exchange: the float ``sum_value``
-depends on the order of its additions, so a coalesce would change its
-last bits.
+moment-partial core in ``stages.rollup`` with the ``EVENT_MOMENTS`` spec:
+count, min, max and the exact micro-unit sum ``sum_mu``. Every moment is
+exact under any split of the rows, so the partials are coalesced before
+the exchange as the pages partials are, and ``_finalize`` derives the
+float sum and mean from ``sum_mu`` — the one place that rule lives.
 
 Shuffle budget per query: ONE groupby on (key, bucket) after an in-batch
-Arrow combiner; series assembly reuses the same key partitioning.
+Arrow combiner and the coalesce; series assembly reuses the same key
+partitioning.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from matrixprofile_ray.stages.rollup import group_moments, merge_moments, rebucket
+from matrixprofile_ray.stages.rollup import coalesce, group_moments, merge_moments
 
 __all__ = [
     "EVENT_MOMENTS",
@@ -35,8 +36,6 @@ __all__ = [
 # moment column → (column of ``_partial``'s projection, Arrow aggregate)
 EVENT_MOMENTS = {
     "count": ("v", "count"),
-    "sum_value": ("v", "sum"),
-    "sum_sq_value": ("v2", "sum"),
     "min_value": ("v", "min"),
     "max_value": ("v", "max"),
     "sum_mu": ("mu", "sum"),
@@ -48,13 +47,13 @@ def _partial(batch: pa.Table, key: str, ts_col: str, value_col: str,
     """Within-batch combiner: one partial row per (key, bucket).
 
     ``sum_mu`` carries the value sum in EXACT integer micro-units
-    (round-half-away(value·1e6), summed as int64) alongside the float
-    moments: int sums are order-independent, so sum/mean derived from
-    ``sum_mu`` hash-match a sequential SQL oracle under ANY partitioning
-    — a float sum differs in ulps whenever a bucket splits across
-    blocks, which flips ROUND(·, 6) on exact-half boundary rows
-    (observed: 2/3600 buckets at sf0.1). Bound: |value| ≤ 9.2e12·1e-6
-    per row and ~9e15 µ-units per bucket stay exact in int64/double.
+    (round-half-away(value·1e6), summed as int64): int sums are
+    order-independent, so the sum/mean ``_finalize`` derives from it
+    hash-match a sequential SQL oracle under ANY partitioning — a float
+    sum differs in ulps whenever a bucket splits across blocks, which
+    flips ROUND(·, 6) on exact-half boundary rows (observed: 2/3600
+    buckets at sf0.1). Bound: |value| ≤ 9.2e12·1e-6 per row and ~9e15
+    µ-units per bucket stay exact in int64/double.
     """
     from matrixprofile_ray.stages.relational import _mu_int64
 
@@ -66,29 +65,27 @@ def _partial(batch: pa.Table, key: str, ts_col: str, value_col: str,
         "key": batch[key],
         "bucket_ts": bucket,
         "v": val,
-        "v2": pc.multiply(val, val),
         "mu": pa.array(mu, pa.int64()),
     })
     return group_moments(tbl, ["key", "bucket_ts"], EVENT_MOMENTS)
 
 
 def _finalize(batch: pa.Table, key_out: str) -> pa.Table:
-    count = np.asarray(batch["count"], dtype="d")
-    s = np.asarray(batch["sum_value"], dtype="d")
-    mean = s / count
-    out = pa.table({
+    """Merged partials → bucket rows. sum = sum_mu / 1e6, then mean =
+    sum / count: the oracle SQL's float64 operation order."""
+    mu = np.asarray(batch["sum_mu"], dtype=np.int64)
+    s = mu.astype(np.float64) / 1e6
+    return pa.table({
         key_out: batch["key"],
         "bucket_ts": batch["bucket_ts"],
         "count": pc.cast(batch["count"], pa.int64()),
-        "sum_value": batch["sum_value"],
+        "sum_value": pa.array(s, pa.float64()),
         "min_value": batch["min_value"],
         "max_value": batch["max_value"],
-        "mean_value": pa.array(mean, pa.float64()),
-        # exact integer micro-unit sum (see _partial): hash-gated queries
-        # derive sum/mean from this; series consumers keep mean_value
-        "sum_mu": pc.cast(batch["sum_mu"], pa.int64()),
+        "mean_value": pa.array(s / np.asarray(batch["count"], dtype="d"),
+                               pa.float64()),
+        "sum_mu": pa.array(mu, pa.int64()),
     })
-    return out
 
 
 def rollup_events(
@@ -103,7 +100,14 @@ def rollup_events(
     """(key, ts, value) Dataset → tumbling-window bucket table.
 
     Output columns: <key>, bucket_ts (epoch µs), count, sum_value,
-    min_value, max_value, mean_value.
+    min_value, max_value, mean_value, sum_mu. Each value is rounded
+    half-away-from-zero to 6 decimals before the int64 sum ``sum_mu``
+    (within the bound ``_partial`` gives); ``sum_value`` is
+    ``sum_mu / 1e6`` and ``mean_value`` is ``sum_value / count``, so
+    every column is bit-identical under any split of the rows across
+    blocks and any shuffle path. ``keep_partials`` returns the merged
+    moment rows (key, bucket_ts, ``EVENT_MOMENTS``) for
+    ``cascade_events``.
 
     ``salt`` > 0 enables two-phase aggregation for pathologically hot
     (key, bucket) pairs: phase 1 groups on (key, bucket, hash(batch)%salt)
@@ -115,10 +119,10 @@ def rollup_events(
     from matrixprofile_ray.util import ensure_hash_shuffle
 
     ensure_hash_shuffle()
-    partials = ds.map_batches(
+    partials = coalesce(ds.map_batches(
         lambda b: _partial(b, key, ts_col, value_col, bucket_us),
         batch_format="pyarrow",
-    )
+    ), ["key"], EVENT_MOMENTS, bucket_us)
     if salt > 0:
         def add_salt(batch: pa.Table) -> pa.Table:
             # deterministic per-batch-content salt: partials from different
@@ -148,15 +152,14 @@ def rollup_events(
 
 
 def cascade_events(partial_ds, bucket_us: int, key_out: str = "event_type"):
-    """Partial bucket table (keep_partials=True) → coarser-tier rollup."""
+    """Partial bucket table (keep_partials=True) → rollup at ``bucket_us``:
+    a coarser tier, or a merge of partials at the same grain (e.g. ones
+    read back from a checkpoint)."""
     from matrixprofile_ray.util import ensure_hash_shuffle
 
     ensure_hash_shuffle()
 
-    partials = partial_ds.map_batches(
-        lambda b: rebucket(b, ["key"], EVENT_MOMENTS, bucket_us),
-        batch_format="pyarrow",
-    )
+    partials = coalesce(partial_ds, ["key"], EVENT_MOMENTS, bucket_us)
     merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
     return merged.map_batches(
         lambda b: _finalize(b, key_out), batch_format="pyarrow"

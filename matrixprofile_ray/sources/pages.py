@@ -174,7 +174,7 @@ def pages_dataset(n_rows: int, seed: int = 42,
     # Ray snapshots the DataContext when the SOURCE dataset is created —
     # shuffle settings applied later (by downstream builders) do not reach
     # this plan, so the context must be right before rd.range.
-    # parallelism_mult=2 (round-3 remeasure): the hash-shuffle map side
+    # 2 partitions per CPU (round-3 remeasure): the hash-shuffle map side
     # pays a push/ack per (source block × partition) slice, and that —
     # not fold stragglers — dominated the exchange (map wall 2.2 s vs
     # 0.9 s cpu at blocks=64/parts=256). blocks=cpus/2 + parts=cpus*2 cut
@@ -182,7 +182,7 @@ def pages_dataset(n_rows: int, seed: int = 42,
     # 65.9 s → 39.0 s at 8 cpus (phase scaling 0.59 → 0.81); the Zipf
     # fold straggler the old parts=cpus*8 guarded against is bounded by
     # hash-mixing ~domains/parts domains per partition.
-    ensure_hash_shuffle(parallelism_mult=2)
+    ensure_hash_shuffle()
     if override_num_blocks is None:
         from matrixprofile_ray.util import _cluster_cpus
 

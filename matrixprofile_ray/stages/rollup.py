@@ -6,31 +6,31 @@ A *spec* maps each output moment column to its source column and its
 first-level Arrow aggregate. The aggregate that merges partials of one
 bucket, or folds finer buckets into a coarser one, follows from it
 (``_MERGE``: count→sum, sum→sum, min→min, max→max), so this module owns
-that rule. The core is three functions:
+that rule. The core is four functions:
 
 - ``group_moments`` — the in-batch Arrow ``group_by``: one partial row per
   key tuple of the batch;
 - ``rebucket`` — re-bucket partial rows at a coarser grain (the tier
   cascade, the "continuous aggregate" pattern) or merge them at the same
-  grain (the coalesce);
+  grain;
+- ``coalesce`` — ``rebucket`` over batches of ``COALESCE_ROWS`` rows, so
+  the exchange sees a few large blocks, not one narrow block per read
+  block (it pays Ray task and slice machinery per input block);
 - ``merge_moments`` — the one all-to-all exchange
   (``util.partitioned_group_map``) plus a pandas fold per partition.
 
-Integer-valued moments (counts, the events' micro-unit ``sum_mu``) and
-min/max are exact under any split of the rows across blocks; a float sum
-is not, which is why the events partials are not coalesced before the
-exchange.
+Every moment of both specs is a count, an int64 sum (the events'
+micro-unit ``sum_mu``), a min or a max, so it is exact under any split of
+the rows across blocks and any merge order: the coalesce and the fold
+cannot change a bit.
 
 Pages (``PAGE_MOMENTS``) carry only the page count per (domain, bucket),
 the one moment the flagship's series read. The flagship shape is:
 
 1. ``partial_rollup`` — inside ``map_batches`` (pyarrow, zero-copy), per
    read block: project domain + bucket, then ``group_moments``.
-2. Coalesce — ``rebucket`` at the same grain over batches of
-   ``COALESCE_ROWS`` partial rows merges the per-block partials into
-   ~ceil(rows / COALESCE_ROWS) large blocks. The exchange pays Ray task
-   and slice machinery per input block, so it must not see one narrow
-   block per read block. ``rollup_partials`` builds steps 1 and 2.
+2. ``coalesce`` at the same grain. ``rollup_partials`` builds steps 1
+   and 2.
 3. The exchange + fold: ``stages.domain_pipeline.DomainPipeline`` merges
    the partials and cascades the coarser tiers per domain.
 
@@ -52,6 +52,7 @@ __all__ = [
     "PAGE_MOMENTS",
     "group_moments",
     "rebucket",
+    "coalesce",
     "merge_spec",
     "merge_moments",
     "partial_rollup",
@@ -103,6 +104,18 @@ def rebucket(batch: pa.Table, keys: list[str], spec: dict,
     return group_moments(tbl, keys + ["bucket_ts"], merge_spec(spec))
 
 
+def coalesce(partials_ds, keys: list[str], spec: dict, bucket_us: int):
+    """Partial rows → partial rows at the ``bucket_us`` grain, merged over
+    batches of ``COALESCE_ROWS`` rows. Where Ray fuses this map with the
+    one that makes the partials, it counts that map's input rows, so the
+    exchange sees ~ceil(input rows / COALESCE_ROWS) blocks."""
+    return partials_ds.map_batches(
+        lambda b: rebucket(b, keys, spec, bucket_us),
+        batch_format="pyarrow",
+        batch_size=COALESCE_ROWS,
+    )
+
+
 def merge_moments(partials_ds, keys: list[str], spec: dict):
     """Merge partial rows per key tuple: ONE partition-cardinality shuffle
     + a pandas fold per partition (3× faster than Ray's built-in
@@ -133,11 +146,7 @@ def rollup_partials(pages_ds, tier: str):
     """pages Dataset → partial rows at ``tier``'s grain, coalesced into
     ~ceil(rows / COALESCE_ROWS) blocks, ready for the one exchange."""
     bucket_us = TIERS[tier]
-    return pages_ds.map_batches(
+    return coalesce(pages_ds.map_batches(
         lambda b: partial_rollup(b, bucket_us),
         batch_format="pyarrow",
-    ).map_batches(
-        lambda b: rebucket(b, ["domain"], PAGE_MOMENTS, bucket_us),
-        batch_format="pyarrow",
-        batch_size=COALESCE_ROWS,
-    )
+    ), ["domain"], PAGE_MOMENTS, bucket_us)

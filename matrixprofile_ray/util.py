@@ -98,7 +98,7 @@ def _cluster_cpus() -> int | None:
     return None  # unknown until ray.init — do not guess
 
 
-def ensure_hash_shuffle(parallelism_mult: int = 2) -> None:
+def ensure_hash_shuffle() -> None:
     """Switch the current DataContext to hash-based shuffling, sized to the
     cluster.
 
@@ -111,12 +111,11 @@ def ensure_hash_shuffle(parallelism_mult: int = 2) -> None:
     out the compute actor pools. Safe to call repeatedly and before
     ray.init(); silently a no-op on Ray versions without the strategy.
 
-    ``parallelism_mult`` sets shuffle partitions per CPU. Default 2: the
-    hash-shuffle map side pays a push/ack per (source block × partition)
-    slice, so partition count is a direct tax on every map task — the
-    round-3 sweep measured the flagship exchange at 12.1 s with
-    parts=cpus*2 vs 27.8 s with the earlier parts=cpus*8 at 32 cpus
-    (39.0 vs 65.9 at 8 cpus). Fold stragglers stay amortized because a
+    Two shuffle partitions per CPU: the hash-shuffle map side pays a
+    push/ack per (source block × partition) slice, so partition count is
+    a direct tax on every map task — the round-3 sweep measured the
+    flagship exchange at 12.1 s with parts=cpus*2 vs 27.8 s with the
+    earlier parts=cpus*8 at 32 cpus (39.0 vs 65.9 at 8 cpus). Fold stragglers stay amortized because a
     partition hash-mixes ~keys/parts keys. Must be set BEFORE the source
     dataset is created: Ray snapshots the DataContext into the plan at
     source creation.
@@ -136,7 +135,7 @@ def ensure_hash_shuffle(parallelism_mult: int = 2) -> None:
         ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
         ctx.max_hash_shuffle_aggregators = max(2, cpus // 2)
         ctx.default_hash_shuffle_parallelism = shuffle_partitions(
-            max(16, cpus * parallelism_mult)
+            max(16, cpus * 2)
         )
         # aggregator actors must not reserve whole CPUs away from the
         # profile/discovery pools

@@ -56,10 +56,9 @@ class TestContract:
         want = want.sort_values(["event_type", "bucket_ts"]).reset_index(drop=True)
         assert len(got) == len(want)
         np.testing.assert_array_equal(got["count"], want["count"])
-        np.testing.assert_allclose(
-            got["mean_value"].to_numpy(), want["mean_value"].to_numpy(),
-            atol=1e-9,
-        )
+        for col in ("sum_value", "min_value", "max_value", "mean_value"):
+            np.testing.assert_array_equal(
+                got[col].to_numpy(), want[col].to_numpy(), err_msg=col)
 
     def test_dedup_exact_matches_duckdb(self, ray_session):
         import duckdb

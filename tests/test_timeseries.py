@@ -1,6 +1,7 @@
-"""Generic timeseries pipeline: salted two-phase rollup equivalence,
-cascade exactness and series assembly over the events table (under both
-shuffle paths), and the task-form profile/discovery stages."""
+"""Generic timeseries pipeline: exact events rollup (block-split
+invariance, salted two-phase equivalence, cascade, the coalesce and the
+fold) and series assembly over the events table under both shuffle
+paths, and the task-form profile/discovery stages."""
 
 from __future__ import annotations
 
@@ -46,42 +47,52 @@ def _events(blocks: int = 10):
 
     tbl = pq.read_table(os.path.join(SF, "events.parquet"),
                         columns=["event_type", "ts", "value"])
-    step = -(-tbl.num_rows // blocks)
-    return rd.from_arrow([tbl.slice(i, step)
-                          for i in range(0, tbl.num_rows, step)])
+    cut = [i * tbl.num_rows // blocks for i in range(blocks + 1)]
+    return rd.from_arrow([tbl.slice(lo, hi - lo)
+                          for lo, hi in zip(cut, cut[1:])])
+
+
+def _sorted_rollup(ds, bucket_us: int, **kw) -> pd.DataFrame:
+    from matrixprofile_ray.pipelines.timeseries import rollup_events
+
+    return (
+        rollup_events(ds, bucket_us, **kw)
+        .to_pandas()
+        .sort_values(["event_type", "bucket_ts"])
+        .reset_index(drop=True)
+    )
+
+
+def _assert_same_frame(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    """Same columns, and every column bit-identical."""
+    assert list(got.columns) == list(want.columns)
+    assert len(got) == len(want) > 0
+    for col in got.columns:
+        np.testing.assert_array_equal(got[col].to_numpy(),
+                                      want[col].to_numpy(), err_msg=col)
 
 
 @needs_testdata
-class TestSaltedRollup:
+class TestEventRollup:
+    """Every events moment is exact (count, int64 micro-unit sum, min,
+    max), so no split of the rows can change a bit of the output."""
+
+    @SHUFFLES
+    def test_block_split_invariant(self, ray_session, shuffle):
+        """1, 10 and 37 source blocks give bit-identical bucket tables,
+        the unrounded sum_value/mean_value included. 1d buckets hold ~7
+        events each, so most of them split across blocks."""
+        with _shuffle(shuffle):
+            frames = [_sorted_rollup(_events(n), D1) for n in (1, 10, 37)]
+        for other in frames[1:]:
+            _assert_same_frame(other, frames[0])
+
     @SHUFFLES
     def test_salted_equals_unsalted(self, ray_session, shuffle):
-        from matrixprofile_ray.pipelines.timeseries import rollup_events
-
         with _shuffle(shuffle):
-            plain = (
-                rollup_events(_events(), H1)
-                .to_pandas()
-                .sort_values(["event_type", "bucket_ts"])
-                .reset_index(drop=True)
-            )
-            salted = (
-                rollup_events(_events(), H1, salt=4)
-                .to_pandas()
-                .sort_values(["event_type", "bucket_ts"])
-                .reset_index(drop=True)
-            )
-        assert len(plain) == len(salted)
-        np.testing.assert_array_equal(plain["count"], salted["count"])
-        np.testing.assert_allclose(
-            plain["sum_value"].to_numpy(), salted["sum_value"].to_numpy(),
-            atol=1e-9,
-        )
-        np.testing.assert_array_equal(
-            plain["min_value"], salted["min_value"]
-        )
-        np.testing.assert_array_equal(
-            plain["max_value"], salted["max_value"]
-        )
+            plain = _sorted_rollup(_events(), H1)
+            salted = _sorted_rollup(_events(), H1, salt=4)
+        _assert_same_frame(salted, plain)
 
     @SHUFFLES
     def test_cascade_from_salted_partials(self, ray_session, shuffle):
@@ -91,12 +102,7 @@ class TestSaltedRollup:
         )
 
         with _shuffle(shuffle):
-            direct = (
-                rollup_events(_events(), D1)
-                .to_pandas()
-                .sort_values(["event_type", "bucket_ts"])
-                .reset_index(drop=True)
-            )
+            direct = _sorted_rollup(_events(), D1)
             partials = rollup_events(
                 _events(), H1, keep_partials=True, salt=4
             )
@@ -106,11 +112,78 @@ class TestSaltedRollup:
                 .sort_values(["event_type", "bucket_ts"])
                 .reset_index(drop=True)
             )
-        np.testing.assert_array_equal(direct["count"], cascaded["count"])
-        np.testing.assert_allclose(
-            direct["mean_value"].to_numpy(), cascaded["mean_value"].to_numpy(),
-            atol=1e-9,
+        _assert_same_frame(cascaded, direct)
+
+    def test_partials_reach_exchange_coalesced(self, ray_session,
+                                               monkeypatch):
+        """The partials ``rollup_events`` hands its exchange are
+        coalesced into ~ceil(rows / COALESCE_ROWS) blocks, not one per
+        source block."""
+        from matrixprofile_ray.pipelines import timeseries as ts
+        from matrixprofile_ray.stages.rollup import COALESCE_ROWS
+
+        real, seen = ts.merge_moments, []
+
+        def spy(partials_ds, keys, spec):
+            seen.append(partials_ds.materialize())
+            return real(seen[-1], keys, spec)
+
+        monkeypatch.setattr(ts, "merge_moments", spy)
+        ds = _events(37)
+        assert ds.num_blocks() == 37
+        ts.rollup_events(ds, H1).materialize()
+        (partials,) = seen
+        assert partials.count() > 0
+        assert partials.num_blocks() <= -(-partials.count() // COALESCE_ROWS)
+
+    @SHUFFLES
+    def test_fold_merges_partials_across_blocks(self, ray_session, shuffle):
+        """At test scale the coalesce already merges every bucket, so feed
+        the fold un-coalesced per-block partials and check each (key, 1d
+        bucket) against DuckDB."""
+        import duckdb
+        import ray.data as rd
+
+        from matrixprofile_ray.pipelines.timeseries import (
+            EVENT_MOMENTS,
+            _partial,
         )
+        from matrixprofile_ray.stages.rollup import merge_moments
+
+        path = os.path.join(SF, "events.parquet")
+        tbl = pq.read_table(path, columns=["event_type", "ts", "value"])
+        step = -(-tbl.num_rows // 12)
+        blocks = [_partial(tbl.slice(i, step), "event_type", "ts", "value", D1)
+                  for i in range(0, tbl.num_rows, step)]
+        assert len(blocks) >= 10
+        with _shuffle(shuffle):
+            got = (
+                merge_moments(rd.from_arrow(blocks), ["key", "bucket_ts"],
+                              EVENT_MOMENTS)
+                .to_pandas()
+                .sort_values(["key", "bucket_ts"])
+                .reset_index(drop=True)
+            )
+        want = duckdb.connect().execute(
+            f"""
+            SELECT event_type AS key,
+                   (epoch_us(ts) // {D1}) * {D1} AS bucket_ts,
+                   count(*) AS count, min(value) AS min_value,
+                   max(value) AS max_value,
+                   SUM(CAST(ROUND(value * 1000000, 0) AS BIGINT)) AS sum_mu
+            FROM '{path}' GROUP BY 1, 2 ORDER BY 1, 2
+            """
+        ).df()
+        assert sum(b.num_rows for b in blocks) > len(want)
+        assert got["key"].tolist() == want["key"].tolist()
+        for col in ("bucket_ts", "count", "sum_mu"):
+            np.testing.assert_array_equal(
+                got[col].to_numpy(dtype=np.int64),
+                want[col].to_numpy(dtype=np.int64), err_msg=col)
+        for col in ("min_value", "max_value"):
+            np.testing.assert_array_equal(
+                got[col].to_numpy(dtype="d"), want[col].to_numpy(dtype="d"),
+                err_msg=col)
 
 
 @needs_testdata
@@ -254,10 +327,8 @@ class TestRollupExactMuSums:
         for parts in (1, 4):
             ds = rd.from_pandas(df).repartition(parts)
             out = rollup_events(ds, 3_600_000_000).to_pandas()
-            mu = out["sum_mu"].to_numpy(dtype=np.int64)
-            sv = mu.astype(np.float64) / 1e6
-            mean = sv / out["count"].to_numpy(dtype=np.float64)
-            outs.append((mu[0], _round6_away(mean)[0]))
+            outs.append((out["sum_mu"][0],
+                         _round6_away(out["mean_value"].to_numpy())[0]))
         # identical across partitioning
         assert outs[0] == outs[1]
         con = duckdb.connect()
