@@ -1702,9 +1702,9 @@ def q_orders_segment_join(sf_dir: str):
     segment (Ray Dataset.join + in-batch partial aggregation)."""
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    import ray
+    from matrixprofile_ray.util import cluster_cpus
 
-    nparts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    nparts = max(2, cluster_cpus() // 2)
     joined = orders.join(
         customer, join_type="inner", num_partitions=nparts,
         on=("o_custkey",), right_on=("c_custkey",),
@@ -3381,6 +3381,7 @@ def q_segment_lineitem_revenue(sf_dir: str):
         _mu_int64,
         _round6_away,
     )
+    from matrixprofile_ray.util import cluster_cpus
 
     customer = _read(
         sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
@@ -3414,7 +3415,7 @@ def q_segment_lineitem_revenue(sf_dir: str):
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
-    nparts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    nparts = max(2, cluster_cpus() // 2)
     joined = lineitem.join(
         tagged_orders, join_type="inner", num_partitions=nparts,
         on=("l_orderkey",), right_on=("o_orderkey",),

@@ -37,7 +37,7 @@ __all__ = ["series_all_tiers", "flagship"]
 def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")):
     """pages → gap-filled page-count series rows for every tier, ONE
     shuffle total."""
-    from matrixprofile_ray.util import ensure_hash_shuffle
+    from matrixprofile_ray.util import ensure_hash_shuffle, partitioned_group_map
 
     ensure_hash_shuffle()
 
@@ -45,27 +45,15 @@ def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")):
     # partials at the grain of the finest tier; the fold cascades the rest
     partials = rollup_partials(pages_ds, pipeline.tiers[0])
 
-    from matrixprofile_ray.util import _cluster_cpus, partitioned_group_map
-
     # partition-level processing: all domains of a hash partition in one
     # call (per-domain map_groups paid Ray bookkeeping + a one-row pandas
-    # frame per (domain, tier) — measurable at 8k+ domains).
-    # cpus*2 partitions (round-3 remeasure, was cpus*8): the hash-shuffle
-    # map side pays per-slice push costs proportional to blocks×parts, and
-    # that dominated the exchange — parts=cpus*2 with blocks=cpus/2 source
-    # blocks measured 12.1 s vs 27.8 s at 32 cpus (and 39.0 vs 65.9 at 8)
-    # for the full 1M-page series phase. rollup_partials' coalesce gives
-    # that block count by construction. Fold stragglers stay amortized:
-    # a partition holds ~domains/parts hash-mixed domains, so Zipf skew
-    # averages out (max fold task 2.05 s at 256 parts → ~8 s at 64; still
-    # a clear net win).
-    cpus = _cluster_cpus() or 8
+    # frame per (domain, tier) — measurable at 8k+ domains). The partition
+    # count is util.shuffle_partitions' (see there for the measurement).
     # partials are pure scalar Arrow (domain, bucket_ts, count): keep the
     # scatter Arrow-native so the split is zero-copy take, not a pandas
     # frame copy per slice (measured ~1.2 s/block at 64 blocks)
     return partitioned_group_map(
         partials, ["domain"], pipeline.process_partition,
-        num_partitions=max(32, cpus * 2),
         partition_batch_format="pyarrow",
     )
 
@@ -75,41 +63,34 @@ def flagship(
     window: int = 24,
     algorithm: str = "mpx",
     tiers=("raw", "1h", "1d", "7d"),
-    out_dir: str | None = None,
     profile_concurrency: int = 8,
-    materialize_series: bool = True,
 ):
     """Run the full pipeline; returns dict with the series / gorilla /
     profiles / discoveries Datasets (series rows carry a ``tier`` column).
 
     ``profile_concurrency`` caps the number of concurrent profile tasks.
-    When ``out_dir`` is set, outputs are also written as partitioned
-    parquet (one directory per stage — the resumable layout lives in
-    pipelines/runner.py).
+    Persisted, resumable outputs are ``pipelines/runner.py``'s job.
     """
-    series = series_all_tiers(pages_ds, tiers=tiers)
-    profile_input = series
-    if materialize_series:
-        # one dense row per (domain, tier) — tiny relative to pages; at
-        # 100 TB the equivalent is write_parquet + read of the series
-        # table so downstream consumers never rescan the corpus
-        # materialize BEFORE repartitioning: chaining the repartition
-        # AllToAll onto the hash-groupby plan triples the stage's wall time
-        # (measured 24s -> 85s at 1M pages); then split so no profile task
-        # gets a whole shuffle-output block. Block size is a real lever
-        # BOTH ways: Ray pays ~ms-scale machinery per task (8-row blocks
-        # cost ~25 s per stage at 32k rows), but too-few blocks starve the
-        # workers (32-row blocks at 800 rows → 25 tasks for 30 CPUs:
-        # 15 s → 24 s regression). Size adaptively: ≥8 blocks per
-        # concurrent task, 4..32 rows.
-        series = series.materialize()
-        n_rows = series.count()
-        rows_per_block = max(
-            4, min(32, n_rows // (max(1, int(profile_concurrency)) * 8))
-        )
-        profile_input = series.repartition(
-            target_num_rows_per_block=rows_per_block
-        ).materialize()
+    # one dense row per (domain, tier) — tiny relative to pages; at
+    # 100 TB the equivalent is write_parquet + read of the series
+    # table so downstream consumers never rescan the corpus
+    # materialize BEFORE repartitioning: chaining the repartition
+    # AllToAll onto the hash-groupby plan triples the stage's wall time
+    # (measured 24s -> 85s at 1M pages); then split so no profile task
+    # gets a whole shuffle-output block. Block size is a real lever
+    # BOTH ways: Ray pays ~ms-scale machinery per task (8-row blocks
+    # cost ~25 s per stage at 32k rows), but too-few blocks starve the
+    # workers (32-row blocks at 800 rows → 25 tasks for 30 CPUs:
+    # 15 s → 24 s regression). Size adaptively: ≥8 blocks per
+    # concurrent task, 4..32 rows.
+    series = series_all_tiers(pages_ds, tiers=tiers).materialize()
+    n_rows = series.count()
+    rows_per_block = max(
+        4, min(32, n_rows // (max(1, int(profile_concurrency)) * 8))
+    )
+    profile_input = series.repartition(
+        target_num_rows_per_block=rows_per_block
+    ).materialize()
 
     # gorilla encode is C-speed per value: run it on the BIG shuffle-output
     # blocks (1.05 s) — tiny repartitioned blocks cost 24x more in pure
@@ -129,18 +110,9 @@ def flagship(
         batch_format="pandas",
         batch_size=32,
     )
-    results = {
+    return {
         "series": series,
         "gorilla": gorilla,
         "profiles": profiles,
         "discoveries": discoveries,
     }
-
-    if out_dir:
-        import os
-
-        for stage in ("gorilla", "discoveries"):
-            path = os.path.join(out_dir, stage)
-            os.makedirs(path, exist_ok=True)
-            results[stage].write_parquet(path)
-    return results

@@ -206,86 +206,22 @@ def series_from_buckets(
 
 
 def profile_series(series_ds, window: int, key: str = "event_type",
-                   algorithm: str = "mpx", concurrency=2,
-                   giant_threshold: int | None = None):
+                   algorithm: str = "mpx", concurrency=2):
     """Series rows → profile rows via ``ProfileStage`` run as tasks.
 
     The stage holds only config, so a configured instance runs as
     stateless Ray tasks on the warm workers (``concurrency`` caps the
     concurrent tasks): no actor start-up per job, and no CPUs held once
     the stage is done.
-
-    ``giant_threshold``: series longer than this are routed OUT of the
-    per-series task path and computed with the intra-series diagonal
-    fan-out (``stages.giant.mpx_distributed``, mpx only) — the O(n²)
-    diagonal sweep of one giant series is split across Ray tasks and
-    min-merged, instead of silently truncating history (round-1 VERDICT
-    item 7). Giant rows stay OFF the driver: each is handled by a Ray
-    task (batch_size=1 map) that launches the nested diagonal fan-out
-    itself. Partitioning assumption: giant series are FEW (heavy-tail
-    heads); each one's quadratic work is what fans out.
     """
     from matrixprofile_ray.stages.profile import ProfileStage
 
-    def per_series(ds):
-        return ds.map_batches(
-            ProfileStage(window=window, algorithm=algorithm, key_col=key),
-            batch_format="pandas",
-            batch_size=4,
-            concurrency=concurrency,
-        )
-
-    if giant_threshold is None:
-        return per_series(series_ds)
-    if algorithm != "mpx":
-        raise ValueError("giant_threshold routing supports algorithm='mpx'")
-
-    # materialize ONCE so the two filters below don't re-execute the
-    # upstream series-assembly shuffle (round-2 VERDICT item 5); the
-    # series tier is rollup-sized, not raw-event-sized
-    from matrixprofile_ray.util import safe_materialize
-
-    series_ds = safe_materialize(series_ds)
-    small = series_ds.filter(expr=f"n <= {int(giant_threshold)}")
-    small_prof = per_series(small)
-    giant = series_ds.filter(expr=f"n > {int(giant_threshold)}")
-
-    def giant_profile(batch: pd.DataFrame) -> pd.DataFrame:
-        """One giant series per task: its values never touch the driver.
-        ``mpx_distributed`` fans the O(n²) diagonal sweep out as nested
-        Ray tasks from INSIDE this task (the worker's CPU is released
-        while it blocks in ray.get, so the nested fan-out can schedule).
-        """
-        from matrixprofile_ray.stages.giant import mpx_distributed
-
-        out = []
-        for _, r in batch.iterrows():
-            values = np.asarray(r["values"], dtype="d")
-            if len(values) < 2 * window or len(values) < window + 4:
-                continue
-            mp, pi = mpx_distributed(values, window)
-            out.append({
-                key: r[key], "tier": r["tier"],
-                "start_ts": int(r["start_ts"]),
-                "bucket_us": int(r["bucket_us"]),
-                "n": len(values), "w": window, "algorithm": "mpx",
-                "metric": "euclidean", "ez": 0, "join": False,
-                "sample_pct": 1.0,
-                "mp": mp, "pi": pi,
-                "lmp": None, "lpi": None, "rmp": None, "rpi": None,
-                "values": values,
-            })
-        cols = [key, "tier", "start_ts", "bucket_us", "n", "w",
-                "algorithm", "metric", "ez", "join", "sample_pct",
-                "mp", "pi", "lmp", "lpi", "rmp", "rpi", "values"]
-        if not out:
-            return pd.DataFrame({c: pd.Series(dtype=object) for c in cols})
-        return pd.DataFrame(out)[cols]
-
-    giant_prof = giant.map_batches(
-        giant_profile, batch_format="pandas", batch_size=1
+    return series_ds.map_batches(
+        ProfileStage(window=window, algorithm=algorithm, key_col=key),
+        batch_format="pandas",
+        batch_size=4,
+        concurrency=concurrency,
     )
-    return small_prof.union(giant_prof)
 
 
 def discover_series(profiles_ds, key: str = "event_type", concurrency=2, **kwargs):

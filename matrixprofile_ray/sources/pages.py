@@ -163,33 +163,21 @@ def generate_pages(indices: np.ndarray, seed: int = 42,
     )
 
 
-def pages_dataset(n_rows: int, seed: int = 42,
-                  override_num_blocks: int | None = None,
-                  n_domains: int = N_DOMAINS):
+def pages_dataset(n_rows: int, seed: int = 42, n_domains: int = N_DOMAINS):
     """Lazy Ray Dataset of the synthetic corpus (parallel, deterministic)."""
     import ray.data as rd
 
-    from matrixprofile_ray.util import ensure_hash_shuffle
+    from matrixprofile_ray.util import cluster_cpus, ensure_hash_shuffle
 
     # Ray snapshots the DataContext when the SOURCE dataset is created —
     # shuffle settings applied later (by downstream builders) do not reach
     # this plan, so the context must be right before rd.range.
-    # 2 partitions per CPU (round-3 remeasure): the hash-shuffle map side
-    # pays a push/ack per (source block × partition) slice, and that —
-    # not fold stragglers — dominated the exchange (map wall 2.2 s vs
-    # 0.9 s cpu at blocks=64/parts=256). blocks=cpus/2 + parts=cpus*2 cut
-    # the 1M-page series phase 27.8 s → 12.1 s at 32 cpus AND
-    # 65.9 s → 39.0 s at 8 cpus (phase scaling 0.59 → 0.81); the Zipf
-    # fold straggler the old parts=cpus*8 guarded against is bounded by
-    # hash-mixing ~domains/parts domains per partition.
     ensure_hash_shuffle()
-    if override_num_blocks is None:
-        from matrixprofile_ray.util import _cluster_cpus
-
-        cpus = _cluster_cpus()
-        if cpus is not None and cpus >= 8:
-            override_num_blocks = max(8, cpus // 2)
-    ds = rd.range(n_rows, override_num_blocks=override_num_blocks)
+    # cpus/2 source blocks: see util.shuffle_partitions for the measurement
+    cpus = cluster_cpus()
+    ds = rd.range(
+        n_rows, override_num_blocks=max(8, cpus // 2) if cpus >= 8 else None
+    )
 
     def _batch(batch: dict) -> pa.Table:
         return generate_pages(batch["id"], seed=seed, n_domains=n_domains)

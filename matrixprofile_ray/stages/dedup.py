@@ -383,17 +383,13 @@ def minhash_dedup_pairs(
         return part.drop_duplicates(["a", "b"])[["a", "b"]]
 
     if num_partitions is None:
-        from matrixprofile_ray.util import shuffle_partitions
-
-        num_partitions = shuffle_partitions()
-    if num_partitions is None:
-        import ray
+        from matrixprofile_ray.util import cluster_cpus
 
         # join aggregator actors scale with num_partitions; at local scale
         # fewer is faster (measured 9.7s/10.8s/15.4s at 8/16/32 partitions
-        # on 32 cpus) — a real cluster run should set GRAFT_SHUFFLE_PARTS
-        # (or pass num_partitions) sized to the candidate volume
-        num_partitions = max(4, int(ray.cluster_resources().get("CPU", 8)) // 4)
+        # on 32 cpus) — pass num_partitions to size it to the candidate
+        # volume
+        num_partitions = max(4, cluster_cpus() // 4)
 
     from matrixprofile_ray.util import partitioned_group_map
 

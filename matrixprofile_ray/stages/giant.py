@@ -69,13 +69,14 @@ def mpx_distributed(
     import ray
 
     from matrixprofile_ray.core.mpx import mpx_partial
+    from matrixprofile_ray.util import cluster_cpus
 
     ts = np.ascontiguousarray(np.asarray(ts, dtype="d"))
     n = ts.shape[0]
     plen = n - w + 1
     minlag = int(math.ceil(w / 4.0))
     if num_tasks is None:
-        num_tasks = max(1, int(ray.cluster_resources().get("CPU", 8)))
+        num_tasks = cluster_cpus()
     ranges = diag_ranges(plen, minlag, num_tasks)
 
     run_v = np.full(plen, -1.0, dtype="d")

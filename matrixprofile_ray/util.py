@@ -1,10 +1,15 @@
-"""Engine-wide Ray Data context defaults + high-cardinality groupby helper."""
+"""Engine-wide Ray Data context defaults, exchange sizing and the
+high-cardinality groupby helper.
+
+This module is the one owner of exchange sizing: :func:`cluster_cpus` is
+the engine's only read of the cluster's resources, and
+:func:`shuffle_partitions` is the one partition rule.
+"""
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
+    "cluster_cpus",
     "ensure_hash_shuffle",
     "partitioned_group_map",
     "safe_materialize",
@@ -13,34 +18,38 @@ __all__ = [
 ]
 
 
-def shuffle_partitions(default: int | None = None) -> int | None:
-    """Cluster-sizing knob for every wide exchange in the engine.
+def cluster_cpus() -> int:
+    """Total CPUs of the live Ray cluster (cluster-wide, every node).
 
-    ``GRAFT_SHUFFLE_PARTS``, when set, overrides the partition count used
-    by :func:`ensure_hash_shuffle`, :func:`partitioned_group_map` and the
-    dedup/minhash joins. The in-repo defaults are tuned on ONE 32-CPU box
-    (hash-shuffle map tasks pay a push per source-block × partition slice,
-    so small clusters want FEW partitions); a multi-node run should set
-    this to ~2× total cluster cores so it doesn't inherit single-box
-    tuning. Returns ``default`` (which may be None = "use the local
-    heuristic") when the variable is unset.
+    Raises ``RaySystemError`` when no Ray session is running: an exchange
+    sized without a cluster would be a guess.
     """
-    val = os.environ.get("GRAFT_SHUFFLE_PARTS")
-    if val:
-        return max(1, int(val))
-    return default
+    import ray
+
+    return int(ray.cluster_resources()["CPU"])
+
+
+def shuffle_partitions() -> int:
+    """Partition count of every key-partitioned exchange: 2 per cluster CPU.
+
+    The hash-shuffle map side pays a push/ack per (source block ×
+    partition) slice, so the partition count is a direct tax on every map
+    task. The round-3 sweep measured the flagship's 1M-page series phase
+    at 12.1 s with 2 partitions per CPU vs 27.8 s with 8 per CPU at 32
+    CPUs (39.0 vs 65.9 s at 8 CPUs), with ``cpus / 2`` source blocks. Fold
+    stragglers stay amortized: a partition hash-mixes ~keys/parts keys, so
+    Zipf skew averages out.
+    """
+    return 2 * cluster_cpus()
 
 
 def _hash_shuffle_active() -> bool:
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
+    from ray.data.context import DataContext, ShuffleStrategy
 
-        return (
-            DataContext.get_current().shuffle_strategy
-            == ShuffleStrategy.HASH_SHUFFLE
-        )
-    except Exception:
-        return False
+    return (
+        DataContext.get_current().shuffle_strategy
+        == ShuffleStrategy.HASH_SHUFFLE
+    )
 
 
 def scrub_empty_blocks(mds):
@@ -58,19 +67,15 @@ def scrub_empty_blocks(mds):
     the refs are reused, one tiny metadata task per block) removes the
     poison. No-op when the dataset has no empty blocks or no rows at all.
     """
-    import ray
     import ray.data as rd
 
     keep, dropped = [], 0
-    try:
-        for rb in mds.iter_internal_ref_bundles():
-            for block_ref, meta in rb.blocks:
-                if meta.num_rows:
-                    keep.append(block_ref)
-                else:
-                    dropped += 1
-    except Exception:
-        return mds
+    for rb in mds.iter_internal_ref_bundles():
+        for block_ref, meta in rb.blocks:
+            if meta.num_rows:
+                keep.append(block_ref)
+            else:
+                dropped += 1
     if not dropped or not keep:
         return mds
     return rd.from_arrow_refs(keep)
@@ -85,19 +90,6 @@ def safe_materialize(ds):
     return scrub_empty_blocks(ds.materialize())
 
 
-def _cluster_cpus() -> int | None:
-    try:
-        import ray
-
-        if ray.is_initialized():
-            return int(ray.cluster_resources().get("CPU", 0)) or (
-                os.cpu_count() or 8
-            )
-    except Exception:
-        pass
-    return None  # unknown until ray.init — do not guess
-
-
 def ensure_hash_shuffle() -> None:
     """Switch the current DataContext to hash-based shuffling, sized to the
     cluster.
@@ -107,42 +99,57 @@ def ensure_hash_shuffle() -> None:
     shuffle costs tens of seconds of fixed latency per exchange at any
     cluster size. The stock hash-shuffle defaults assume a big cluster
     (200 partitions / up to 64 aggregator actors) and strangle small CPU
-    counts — size both to the actual cluster so aggregators never crowd
-    out the compute actor pools. Safe to call repeatedly and before
-    ray.init(); silently a no-op on Ray versions without the strategy.
+    counts — size both to the actual cluster (:func:`shuffle_partitions`)
+    so aggregators never crowd out the compute pools. Safe to call
+    repeatedly; raises ``RaySystemError`` before ``ray.init()``.
 
-    Two shuffle partitions per CPU: the hash-shuffle map side pays a
-    push/ack per (source block × partition) slice, so partition count is
-    a direct tax on every map task — the round-3 sweep measured the
-    flagship exchange at 12.1 s with parts=cpus*2 vs 27.8 s with the
-    earlier parts=cpus*8 at 32 cpus (39.0 vs 65.9 at 8 cpus). Fold stragglers stay amortized because a
-    partition hash-mixes ~keys/parts keys. Must be set BEFORE the source
-    dataset is created: Ray snapshots the DataContext into the plan at
-    source creation.
+    Must be set BEFORE the source dataset is created: Ray snapshots the
+    DataContext into the plan at source creation.
     """
-    try:
-        from ray.data.context import DataContext, ShuffleStrategy
+    from ray.data.context import DataContext, ShuffleStrategy
 
-        ctx = DataContext.get_current()
-        cpus = _cluster_cpus()
-        if cpus is None or cpus < 8:
-            # cluster size unknown (pre-init) or tiny: stay on the default
-            # sort shuffle — mis-sized hash aggregators can deadlock, and
-            # on <8 CPUs the aggregator actors contend with compute pools
-            # (measured: the flagship's exchange on HASH_SHUFFLE with 1
-            # aggregator and 2 partitions did not finish in 600 s at 1 CPU)
-            return
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        ctx.max_hash_shuffle_aggregators = max(2, cpus // 2)
-        ctx.default_hash_shuffle_parallelism = shuffle_partitions(
-            max(16, cpus * 2)
+    cpus = cluster_cpus()
+    if cpus < 8:
+        # on <8 CPUs stay on the default sort shuffle: the aggregator
+        # actors contend with compute pools (measured: the flagship's
+        # exchange on HASH_SHUFFLE with 1 aggregator and 2 partitions did
+        # not finish in 600 s at 1 CPU)
+        return
+    ctx = DataContext.get_current()
+    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    ctx.max_hash_shuffle_aggregators = max(2, cpus // 2)
+    ctx.default_hash_shuffle_parallelism = shuffle_partitions()
+    # aggregator actors must not reserve whole CPUs away from the
+    # profile/discovery pools
+    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
+    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
+
+
+def _check_aggregators_fit(num_partitions: int) -> None:
+    """Raise ``ValueError`` for a HASH_SHUFFLE exchange that would hang.
+
+    Each hash aggregator reserves ``override × ceil(P / aggregators)``
+    CPUs and each shuffle task needs one whole CPU, so aggregators that
+    leave less than one CPU free starve every shuffle task (measured on
+    4 CPUs, 2 aggregators, 0.05 CPU per partition: 60 partitions ran,
+    61 hung).
+    """
+    import math
+
+    from ray.data.context import DataContext
+
+    ctx = DataContext.get_current()
+    per_part = ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
+    if per_part is None:  # Ray sizes its own default reservation
+        return
+    aggs = min(num_partitions, ctx.max_hash_shuffle_aggregators)
+    reserved = per_part * math.ceil(num_partitions / aggs) * aggs
+    cpus = cluster_cpus()
+    if reserved > cpus - 1:
+        raise ValueError(
+            f"{num_partitions} hash-shuffle partitions reserve {reserved:g} "
+            f"of {cpus} CPUs for aggregators; a shuffle task needs 1 free"
         )
-        # aggregator actors must not reserve whole CPUs away from the
-        # profile/discovery pools
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-        ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
-    except Exception:
-        pass
 
 
 def partitioned_group_map(
@@ -163,8 +170,9 @@ def partitioned_group_map(
     fixed) and calls ``fn(partition_df)`` ONCE per partition — fn sees all
     rows of every key it owns and must process its keys vectorized
     (pandas groupby / lexsort + reduceat / merge_asof). Keys never split
-    across partitions; partition count is cluster-sized, not
-    data-sized, so the per-call overhead is O(cores).
+    across partitions; partition count is cluster-sized
+    (:func:`shuffle_partitions` by default), not data-sized, so the
+    per-call overhead is O(cores).
 
     When the DataContext is on HASH_SHUFFLE (``ensure_hash_shuffle`` on a
     ≥8-CPU cluster) this routes through ``repartition(P, keys=keys,
@@ -194,17 +202,9 @@ def partitioned_group_map(
 
     if num_partitions is None:
         num_partitions = shuffle_partitions()
-    if num_partitions is None:
-        try:
-            import ray
-
-            num_partitions = max(
-                8, int(ray.cluster_resources().get("CPU", 8)) * 2
-            )
-        except Exception:
-            num_partitions = 16
 
     if _hash_shuffle_active():
+        _check_aggregators_fit(num_partitions)
 
         def run_block(batch: pd.DataFrame) -> pd.DataFrame:
             if len(batch) == 0:

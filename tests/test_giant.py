@@ -60,35 +60,6 @@ class TestMpxDistributed:
         np.testing.assert_array_equal(mp1, mp2)
         np.testing.assert_array_equal(pi1, pi2)
 
-    def test_profile_series_giant_routing_equivalent(self, ray_session):
-        """profile_series with a tiny giant_threshold must produce the same
-        profiles as the plain per-series task path (fan-out replaces silent
-        truncation, not semantics)."""
-        import pandas as pd
-        import ray.data as rd
-
-        from matrixprofile_ray.pipelines.timeseries import profile_series
-
-        rng = np.random.default_rng(7)
-        rows = []
-        for i, n in enumerate([300, 500, 900]):
-            rows.append({
-                "event_type": f"k{i}", "tier": "1h", "start_ts": 0,
-                "bucket_us": 3_600_000_000, "n": n, "n_gaps": 0,
-                "truncated": False,
-                "values": np.cumsum(rng.normal(size=n)),
-            })
-        ds = rd.from_pandas(pd.DataFrame(rows))
-        base = profile_series(ds, 24).to_pandas()
-        routed = profile_series(ds, 24, giant_threshold=400).to_pandas()
-        base = base.sort_values("event_type").reset_index(drop=True)
-        routed = routed.sort_values("event_type").reset_index(drop=True)
-        assert list(base["event_type"]) == list(routed["event_type"])
-        for a, b in zip(base["mp"], routed["mp"]):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        for a, b in zip(base["pi"], routed["pi"]):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-
     def test_large_series_parity(self, ray_session):
         """A series big enough that the fan-out path matters (50k points,
         ~1.2e9 diagonal cells) still matches single-task exactly."""

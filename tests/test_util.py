@@ -1,15 +1,24 @@
-"""Tests for util.partitioned_group_map hash-shuffle path + empty-block
-scrubbing (regression for the ArrowInvalid sort-key crash: Ray's hash
-shuffle/aggregate emits zero-column empty blocks for empty partitions,
-which poison the schema broadcast of any downstream keyed shuffle)."""
+"""Tests for util: exchange sizing, the partitioned_group_map fold
+contract on both shuffle paths, and empty-block scrubbing (regression for
+the ArrowInvalid sort-key crash: Ray's hash shuffle/aggregate emits
+zero-column empty blocks for empty partitions, which poison the schema
+broadcast of any downstream keyed shuffle)."""
 
 from __future__ import annotations
+
+import contextlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import _hash_shuffle_ctx
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _make_fold():
@@ -21,6 +30,46 @@ def _make_fold():
         )
 
     return fold
+
+
+class TestExchangeSizing:
+    def test_two_partitions_per_cluster_cpu(self, ray_session):
+        from matrixprofile_ray.util import shuffle_partitions
+
+        assert shuffle_partitions() == 2 * int(
+            ray_session.cluster_resources()["CPU"]
+        )
+
+    def test_no_session_is_loud(self):
+        """Without a Ray session the exchange cannot be sized: the sizing
+        entry point raises instead of guessing a partition count."""
+        code = (
+            "import ray\n"
+            "from matrixprofile_ray.util import ensure_hash_shuffle\n"
+            "try:\n"
+            "    ensure_hash_shuffle()\n"
+            "except ray.exceptions.RaySystemError:\n"
+            "    print('raised')\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], cwd=REPO,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr[-2000:]
+        assert res.stdout.strip() == "raised"
+
+    def test_unschedulable_hash_exchange_is_loud(self, ray_session):
+        """Aggregators that would leave no CPU for a shuffle task raise at
+        plan time instead of hanging the job."""
+        import ray.data as rd
+
+        from matrixprofile_ray.util import partitioned_group_map
+
+        cpus = int(ray_session.cluster_resources()["CPU"])
+        with _hash_shuffle_ctx():
+            ds = rd.from_pandas(pd.DataFrame({"g": [1, 2], "v": [1, 2]}))
+            # 0.05 CPU per partition: 20 per CPU reserves the whole cluster
+            with pytest.raises(ValueError, match="reserve"):
+                partitioned_group_map(ds, ["g"], _make_fold(),
+                                      num_partitions=20 * cpus)
 
 
 class TestSmallClusterShuffleGuard:
@@ -143,3 +192,75 @@ class TestScrubEmptyBlocks:
         poison = pa.table({}).select([])
         empty = rd.from_arrow([poison]).materialize()
         assert scrub_empty_blocks(empty) is empty
+
+
+@st.composite
+def _fold_cases(draw):
+    # up to 12 keys against up to 64 partitions: many partitions get no
+    # key at all (the empty-partition case scrub_empty_blocks exists for)
+    return {
+        "n_rows": draw(st.integers(1, 300)),
+        "n_keys": draw(st.integers(1, 12)),
+        "n_blocks": draw(st.integers(1, 8)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        # None: the default, util.shuffle_partitions()
+        "num_partitions": draw(st.sampled_from([1, 2, 3, None, 64])),
+        "batch_format": draw(st.sampled_from(["pandas", "pyarrow"])),
+    }
+
+
+class TestFoldContract:
+    """``partitioned_group_map`` gives what one pandas groupby gives, for
+    any key set, block split and partition count, on both shuffle paths."""
+
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    @settings(max_examples=8, deadline=None)
+    @given(case=_fold_cases())
+    def test_matches_pandas_groupby(self, ray_session, shuffle, case):
+        import ray.data as rd
+
+        from matrixprofile_ray.util import (_hash_shuffle_active,
+                                            partitioned_group_map)
+
+        rng = np.random.default_rng(case["seed"])
+        n = case["n_rows"]
+        df = pd.DataFrame({
+            "g": rng.integers(0, case["n_keys"], n),
+            "h": rng.choice(["x", "y"], n),
+            "v": rng.integers(-1000, 1000, n),
+        })
+        cuts = np.sort(rng.integers(0, n + 1, case["n_blocks"] - 1))
+        bounds = [0, *cuts.tolist(), n]
+
+        def fold(part: pd.DataFrame) -> pd.DataFrame:
+            return part.groupby(["g", "h"], as_index=False).agg(
+                s=("v", "sum"), c=("v", "size"), lo=("v", "min")
+            )
+
+        want = fold(df).sort_values(["g", "h"]).reset_index(drop=True)
+        ctx = (_hash_shuffle_ctx() if shuffle == "hash"
+               else contextlib.nullcontext())
+        with ctx:
+            assert _hash_shuffle_active() == (shuffle == "hash")
+            # the context is snapshotted when the source is created
+            ds = rd.from_pandas([df.iloc[lo:hi]
+                                 for lo, hi in zip(bounds, bounds[1:])])
+
+            def run():
+                return partitioned_group_map(
+                    ds, ["g", "h"], fold,
+                    num_partitions=case["num_partitions"],
+                    partition_batch_format=case["batch_format"],
+                )
+
+            if shuffle == "hash" and case["num_partitions"] == 64:
+                # 64 × 0.05 CPU of aggregators on the 4-CPU test cluster
+                # leaves no CPU for a shuffle task: refused, not hung
+                assert ray_session.cluster_resources()["CPU"] == 4
+                with pytest.raises(ValueError, match="reserve"):
+                    run()
+                return
+            got = (
+                run().to_pandas().sort_values(["g", "h"]).reset_index(drop=True)
+            )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)

@@ -18,6 +18,13 @@ of ≤~60 names per process:
     python tools/mimic.py <sf_dir> "name1,name2,..."
 
 (the driver's 50-query prefix sample is safely under the ceiling).
+
+ORACLE CACHE: each DuckDB result is pickled under
+``<tempfile.gettempdir()>/mimic_oracle_cache``, keyed by the sha256 of
+the SQL text, ``duckdb.__version__`` and the bytes of every table parquet
+in ``<sf_dir>``. A hit is the result the same SQL gives on the same bytes,
+so the comparison skips nothing; a re-run pays only the Ray side (stderr
+says ``oracle cached``).
 """
 import hashlib
 import json
@@ -51,10 +58,30 @@ con.execute("SET memory_limit='40GB'")
 spill = os.path.join(tempfile.gettempdir(), "duckdb_spill")
 os.makedirs(spill, exist_ok=True)
 con.execute(f"SET temp_directory='{spill}'")
+digest = hashlib.sha256(duckdb.__version__.encode())
 for t in TABLES:
     p = os.path.join(SF, f"{t}.parquet")
     if os.path.exists(p):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{p}'")
+        digest.update(t.encode())
+        with open(p, "rb") as fh:
+            digest.update(fh.read())
+CACHE = os.path.join(tempfile.gettempdir(), "mimic_oracle_cache")
+os.makedirs(CACHE, exist_ok=True)
+
+
+def oracle(sql: str) -> tuple[pd.DataFrame, bool]:
+    """DuckDB result of ``sql`` and whether it came from the cache."""
+    key = digest.copy()
+    key.update(sql.encode())
+    path = os.path.join(CACHE, key.hexdigest() + ".pkl")
+    if os.path.exists(path):
+        return pd.read_pickle(path), True
+    df = con.execute(sql).df()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    df.to_pickle(tmp)
+    os.replace(tmp, path)
+    return df, False
 
 
 def to_df(res):
@@ -98,9 +125,9 @@ for name in names:
             print(f"[mimic] {name}: ray {_t1 - _t0:.1f}s (no oracle)",
                   file=sys.stderr, flush=True)
             continue
-        want = con.execute(oracles[name]).df()
-        print(f"[mimic] {name}: ray {_t1 - _t0:.1f}s "
-              f"oracle {_time.time() - _t1:.1f}s",
+        want, cached = oracle(oracles[name])
+        took = "cached" if cached else f"{_time.time() - _t1:.1f}s"
+        print(f"[mimic] {name}: ray {_t1 - _t0:.1f}s oracle {took}",
               file=sys.stderr, flush=True)
         rows = len(got) == len(want)
         schema = sorted(got.columns) == sorted(want.columns)
