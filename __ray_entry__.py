@@ -462,13 +462,11 @@ def _series_1h(sf_dir: str, value_col: str = "count"):
 
         ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
         buckets = rollup_events(ds, H1)
-        from matrixprofile_ray.util import safe_materialize
-
         while len(_SERIES_CACHE) >= _SERIES_CACHE_MAX:
             _SERIES_CACHE.pop(next(iter(_SERIES_CACHE)))
-        _SERIES_CACHE[key] = safe_materialize(series_from_buckets(
+        _SERIES_CACHE[key] = series_from_buckets(
             buckets, H1, value_col=value_col
-        ))
+        ).materialize()
     else:
         _SERIES_CACHE[key] = _SERIES_CACHE.pop(key)  # LRU refresh
     return _SERIES_CACHE[key]

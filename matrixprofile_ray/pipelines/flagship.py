@@ -8,8 +8,8 @@ Execution topology — exactly ONE all-to-all exchange:
            partial_rollup (page count per domain × bucket) per read block,
            then rebucket at the same grain over COALESCE_ROWS-row batches
            (few large blocks)
-         └─ partitioned_group_map(domain, DomainPipeline)   THE shuffle
-              per-partition fold: merge → coarser tiers → gap-fill
+         └─ partitioned_group_map(domain, fold_tiers)   THE shuffle
+              per-partition fold, per tier: fold_moments → assemble_series
             └─ series rows (one per domain × tier)  [materialized: tiny]
                ├─ map_batches(encode_series)        → series_gorilla
                └─ map_batches(ProfileStage(...))    tasks
@@ -18,20 +18,41 @@ Execution topology — exactly ONE all-to-all exchange:
 The corpus is scanned ONCE; the partial combine collapses it to
 ≤ (domains × finest-tier buckets) rows before the single shuffle, so the
 exchange volume is bounded by the bucket grid, not the page count. The
-fold derives every coarser tier from the finest one; the tests check its
-series against ``pipelines.timeseries.series_from_buckets`` over DuckDB
-bucket tables.
+fold is the two pieces the events engine runs too: the one merge fold
+(``stages.rollup.fold_moments``), called once per tier over the whole
+partition, and the one series assembly (``stages.gapfill.assemble_series``)
+on its sorted output. The finest tier merges the partials; each coarser
+tier re-buckets the one before (continuous aggregates — exact). The tests
+check its series against ``pipelines.timeseries.series_from_buckets`` over
+DuckDB bucket tables.
 """
 
 from __future__ import annotations
 
-from matrixprofile_ray.stages.discovery import DiscoveryStage
-from matrixprofile_ray.stages.domain_pipeline import DomainPipeline
-from matrixprofile_ray.stages.encode import encode_series
-from matrixprofile_ray.stages.profile import ProfileStage
-from matrixprofile_ray.stages.rollup import rollup_partials
+import pandas as pd
 
-__all__ = ["series_all_tiers", "flagship"]
+from matrixprofile_ray.stages.discovery import DiscoveryStage
+from matrixprofile_ray.stages.encode import encode_series
+from matrixprofile_ray.stages.gapfill import assemble_series
+from matrixprofile_ray.stages.profile import ProfileStage
+from matrixprofile_ray.stages.rollup import (PAGE_MOMENTS, TIERS,
+                                             fold_moments, rollup_partials)
+
+__all__ = ["fold_tiers", "series_all_tiers", "flagship"]
+
+
+def fold_tiers(part: pd.DataFrame, tiers) -> pd.DataFrame:
+    """Partition fold: page-count partials at the grain of ``tiers[0]``
+    (tiers finest first) → one series row per (domain, tier), tier-major,
+    domains sorted within a tier."""
+    frames = []
+    for tier in tiers:
+        bucket_us = TIERS[tier]
+        part = fold_moments(
+            part.assign(bucket_ts=part["bucket_ts"] // bucket_us * bucket_us),
+            ["domain", "bucket_ts"], PAGE_MOMENTS)
+        frames.append(assemble_series(part, "domain", "count", bucket_us, tier))
+    return pd.concat(frames, ignore_index=True)
 
 
 def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")):
@@ -41,9 +62,9 @@ def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")):
 
     ensure_hash_shuffle()
 
-    pipeline = DomainPipeline(tiers=tiers)
+    tiers = tuple(sorted(tiers, key=TIERS.__getitem__))
     # partials at the grain of the finest tier; the fold cascades the rest
-    partials = rollup_partials(pages_ds, pipeline.tiers[0])
+    partials = rollup_partials(pages_ds, tiers[0])
 
     # partition-level processing: all domains of a hash partition in one
     # call (per-domain map_groups paid Ray bookkeeping + a one-row pandas
@@ -53,7 +74,7 @@ def series_all_tiers(pages_ds, tiers=("raw", "1h", "1d", "7d")):
     # scatter Arrow-native so the split is zero-copy take, not a pandas
     # frame copy per slice (measured ~1.2 s/block at 64 blocks)
     return partitioned_group_map(
-        partials, ["domain"], pipeline.process_partition,
+        partials, ["domain"], lambda part: fold_tiers(part, tiers),
         partition_batch_format="pyarrow",
     )
 

@@ -11,8 +11,11 @@ the exchange as the pages partials are, and ``_finalize`` derives the
 float sum and mean from ``sum_mu`` — the one place that rule lives.
 
 Shuffle budget per query: ONE groupby on (key, bucket) after an in-batch
-Arrow combiner and the coalesce; series assembly reuses the same key
-partitioning.
+Arrow combiner and the coalesce, folded per partition by the one merge
+fold (``stages.rollup.fold_moments``, through ``merge_moments``). Series
+assembly is one more exchange on the key, whose fold sorts each partition
+and hands it to the one series assembly (``stages.gapfill.assemble_series``)
+that the flagship's fold calls too.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ def rollup_events(
     ts_col: str = "ts",
     value_col: str = "value",
     keep_partials: bool = False,
-    salt: int = 0,
 ):
     """(key, ts, value) Dataset → tumbling-window bucket table.
 
@@ -108,13 +110,6 @@ def rollup_events(
     blocks and any shuffle path. ``keep_partials`` returns the merged
     moment rows (key, bucket_ts, ``EVENT_MOMENTS``) for
     ``cascade_events``.
-
-    ``salt`` > 0 enables two-phase aggregation for pathologically hot
-    (key, bucket) pairs: phase 1 groups on (key, bucket, hash(batch)%salt)
-    so no single reducer receives a hot pair's full volume, phase 2 merges
-    the ≤``salt`` salted partials per pair — exact results, bounded skew.
-    (The in-batch combiner already caps normal skew; salting is for keys
-    whose single-bucket volume exceeds a reducer's budget.)
     """
     from matrixprofile_ray.util import ensure_hash_shuffle
 
@@ -123,27 +118,7 @@ def rollup_events(
         lambda b: _partial(b, key, ts_col, value_col, bucket_us),
         batch_format="pyarrow",
     ), ["key"], EVENT_MOMENTS, bucket_us)
-    if salt > 0:
-        def add_salt(batch: pa.Table) -> pa.Table:
-            # deterministic per-batch-content salt: partials from different
-            # batches of a hot pair spread over `salt` reducers
-            import zlib
-
-            tag = zlib.crc32(
-                batch["bucket_ts"].to_string().encode()
-            ) % salt if batch.num_rows else 0
-            return batch.append_column(
-                "salt", pa.array([tag] * batch.num_rows, pa.int32())
-            )
-
-        salted = partials.map_batches(add_salt, batch_format="pyarrow")
-        phase1 = merge_moments(salted, ["key", "bucket_ts", "salt"],
-                               EVENT_MOMENTS)
-        # phase 2 groups on (key, bucket) only — the salt column is simply
-        # not part of the fold's output (no Project op: pandas blocks)
-        merged = merge_moments(phase1, ["key", "bucket_ts"], EVENT_MOMENTS)
-    else:
-        merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
+    merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
     if keep_partials:
         return merged
     return merged.map_batches(
@@ -179,7 +154,7 @@ def series_from_buckets(
 
     ensure_hash_shuffle()
 
-    from matrixprofile_ray.stages.gapfill import assemble_series_row
+    from matrixprofile_ray.stages.gapfill import assemble_series
     from matrixprofile_ray.util import partitioned_group_map
 
     def assemble_partition(part: pd.DataFrame) -> pd.DataFrame:
@@ -187,20 +162,8 @@ def series_from_buckets(
         data-sized — millions of users/domains — so per-key map_groups
         would pay Ray machinery per key)."""
         part = part.sort_values([key, "bucket_ts"], kind="stable")
-        rows = []
-        for k, g in part.groupby(key, sort=False):
-            row = assemble_series_row(
-                k,
-                g["bucket_ts"].to_numpy(dtype=np.int64),
-                g[value_col].to_numpy(dtype=np.float64),
-                bucket_us,
-                tier,
-                add_noise=add_noise,
-            )
-            row[key] = row.pop("domain")
-            rows.append(row)
-        df = pd.DataFrame(rows)
-        return df[[key] + [c for c in df.columns if c != key]]
+        return assemble_series(part, key, value_col, bucket_us, tier,
+                               add_noise=add_noise)
 
     return partitioned_group_map(bucket_ds, [key], assemble_partition)
 

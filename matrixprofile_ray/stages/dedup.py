@@ -402,12 +402,10 @@ def minhash_dedup_pairs(
         exploded, ["band", "bucket"], candidate_pairs,
         num_partitions=num_partitions * 2,
     )
-    from matrixprofile_ray.util import safe_materialize
-
-    candidates = safe_materialize(partitioned_group_map(
+    candidates = partitioned_group_map(
         cand_raw, ["a", "b"], distinct_pairs,
         num_partitions=num_partitions * 2,
-    ))
+    ).materialize()
 
     sig_tbl = sigs.select_columns(["doc_id", "sig"])
     joined = candidates.join(
@@ -422,9 +420,8 @@ def minhash_dedup_pairs(
         return t.select([c for c in t.column_names
                          if c in ("a", "b", "sig_a")])
 
-    joined = safe_materialize(
-        joined.map_batches(rename_sig_a, batch_format="pyarrow")
-    )
+    joined = joined.map_batches(rename_sig_a,
+                                batch_format="pyarrow").materialize()
     joined = joined.join(
         sig_tbl, join_type="inner", num_partitions=num_partitions,
         on=("b",), right_on=("doc_id",), right_suffix="_rb",

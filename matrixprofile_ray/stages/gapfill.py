@@ -1,16 +1,18 @@
-"""Series assembly + gap-fill: bucket rows → one dense series per key.
+"""Series assembly + gap-fill: sorted bucket rows → one dense series per key.
 
-``assemble_series_row`` is called per key inside the partition folds
-(``stages.domain_pipeline.DomainPipeline``,
-``pipelines.timeseries.series_from_buckets``): the key's buckets, sorted by
-bucket_ts, are re-indexed onto the dense bucket grid (missing buckets →
-NaN), then imputed with the reference's windowed fill semantics
-(reference preprocess.py:140-222 via core.preprocess — forward mean fill,
-endpoints seeded from nearest finite) and de-flattened with seeded noise.
+``assemble_series`` is the one assembly, called by both partition folds
+(``pipelines.flagship.fold_tiers`` per tier, and
+``pipelines.timeseries.series_from_buckets``): it takes rows sorted by
+(key, bucket_ts), splits them where the key changes and calls
+``assemble_series_row`` per key. That re-indexes the key's buckets onto
+the dense bucket grid (missing buckets → NaN), then imputes them with the
+reference's windowed fill semantics (reference preprocess.py:140-222 via
+core.preprocess — forward mean fill, endpoints seeded from nearest finite)
+and de-flattens them with seeded noise.
 
-Output: one row per (domain, tier) with the series as Arrow list columns —
+Output: one row per (key, tier) with the series as Arrow list columns —
 the layout the matrix-profile stage consumes row-wise. Partitioning
-assumption: one domain's series for one tier fits in a worker's heap (a
+assumption: one key's series for one tier fits in a worker's heap (a
 56-day span at the 5-min raw tier is ~16k buckets ⇒ ~128 KB; at 100 TB the
 cap is enforced by ``max_buckets``, which truncates to the most recent
 window and records the truncation).
@@ -21,16 +23,17 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import pandas as pd
 
 from matrixprofile_ray.core.preprocess import preprocess
 
-__all__ = ["assemble_series_row"]
+__all__ = ["assemble_series", "assemble_series_row"]
 
 DEFAULT_MAX_BUCKETS = 2**18  # ~2 MiB of float64 per series, hard cap
 
 
 def assemble_series_row(
-    domain,
+    key,
     buckets: np.ndarray,
     values: np.ndarray,
     bucket_us: int,
@@ -39,11 +42,12 @@ def assemble_series_row(
     add_noise: bool = True,
     max_buckets: int = DEFAULT_MAX_BUCKETS,
 ) -> dict:
-    """Sorted bucket/value arrays of ONE domain → a dense-series row dict.
+    """Sorted bucket/value arrays of ONE key → a dense-series row dict
+    (without the key: ``key`` only seeds the noise).
 
-    The dict form exists so partition-level callers (domain_pipeline) can
-    build ONE DataFrame per partition instead of one per domain — pandas
-    frame construction was a measurable per-domain cost at 8k domains.
+    The dict form exists so ``assemble_series`` builds ONE DataFrame per
+    call instead of one per key — pandas frame construction was a
+    measurable per-domain cost at 8k domains.
     """
     start, stop = buckets[0], buckets[-1]
     n = int((stop - start) // bucket_us) + 1
@@ -61,8 +65,8 @@ def assemble_series_row(
     n_gaps = int(np.isnan(dense).sum())
 
     if n >= impute_window:
-        # stable per-(domain, tier) seed — python hash() is salted per process
-        seed = zlib.crc32(f"{domain}|{tier}".encode())
+        # stable per-(key, tier) seed — python hash() is salted per process
+        seed = zlib.crc32(f"{key}|{tier}".encode())
         rng = np.random.default_rng(seed)
         filled = preprocess(
             dense, impute_window, add_noise=add_noise, rng=rng
@@ -71,7 +75,6 @@ def assemble_series_row(
         filled = np.nan_to_num(dense, nan=0.0)
 
     return {
-        "domain": domain,
         "tier": tier,
         "start_ts": int(start),
         "bucket_us": int(bucket_us),
@@ -80,3 +83,24 @@ def assemble_series_row(
         "truncated": truncated,
         "values": filled,
     }
+
+
+def assemble_series(
+    part: pd.DataFrame,
+    key: str,
+    value_col: str,
+    bucket_us: int,
+    tier: str,
+    add_noise: bool = True,
+) -> pd.DataFrame:
+    """Bucket rows sorted by (``key``, bucket_ts) → one series row per key,
+    in key order, with ``key`` as the first column."""
+    k = part[key].to_numpy()
+    ts = part["bucket_ts"].to_numpy(dtype=np.int64)
+    v = part[value_col].to_numpy(dtype=np.float64)
+    bounds = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+    return pd.DataFrame([
+        {key: k[lo], **assemble_series_row(
+            k[lo], ts[lo:hi], v[lo:hi], bucket_us, tier, add_noise=add_noise)}
+        for lo, hi in zip(bounds, bounds[1:])
+    ])

@@ -6,7 +6,7 @@ A *spec* maps each output moment column to its source column and its
 first-level Arrow aggregate. The aggregate that merges partials of one
 bucket, or folds finer buckets into a coarser one, follows from it
 (``_MERGE``: count→sum, sum→sum, min→min, max→max), so this module owns
-that rule. The core is four functions:
+that rule. The core is five functions:
 
 - ``group_moments`` — the in-batch Arrow ``group_by``: one partial row per
   key tuple of the batch;
@@ -16,8 +16,10 @@ that rule. The core is four functions:
 - ``coalesce`` — ``rebucket`` over batches of ``COALESCE_ROWS`` rows, so
   the exchange sees a few large blocks, not one narrow block per read
   block (it pays Ray task and slice machinery per input block);
+- ``fold_moments`` — the one merge fold: a pandas groupby over a whole
+  partition that merges the partials of each key tuple;
 - ``merge_moments`` — the one all-to-all exchange
-  (``util.partitioned_group_map``) plus a pandas fold per partition.
+  (``util.partitioned_group_map``) with ``fold_moments`` per partition.
 
 Every moment of both specs is a count, an int64 sum (the events'
 micro-unit ``sum_mu``), a min or a max, so it is exact under any split of
@@ -31,8 +33,11 @@ the one moment the flagship's series read. The flagship shape is:
    read block: project domain + bucket, then ``group_moments``.
 2. ``coalesce`` at the same grain. ``rollup_partials`` builds steps 1
    and 2.
-3. The exchange + fold: ``stages.domain_pipeline.DomainPipeline`` merges
-   the partials and cascades the coarser tiers per domain.
+3. The exchange + fold: ``pipelines.flagship.fold_tiers`` calls
+   ``fold_moments`` once per tier over the whole partition (the finest
+   tier merges the partials, each coarser tier re-buckets the one
+   before) and assembles each tier's series with
+   ``stages.gapfill.assemble_series``.
 
 The page counts are checked against DuckDB ``count(*)`` per (domain,
 bucket) in ``tests/test_pipeline.py``; the events moments hash-match the
@@ -54,6 +59,7 @@ __all__ = [
     "rebucket",
     "coalesce",
     "merge_spec",
+    "fold_moments",
     "merge_moments",
     "partial_rollup",
     "rollup_partials",
@@ -116,19 +122,21 @@ def coalesce(partials_ds, keys: list[str], spec: dict, bucket_us: int):
     )
 
 
+def fold_moments(part, keys: list[str], spec: dict):
+    """Partial rows of a pandas frame → one merged row per key tuple,
+    sorted by ``keys``: one groupby over the whole frame, not one per key."""
+    return part.groupby(keys, as_index=False).agg(**merge_spec(spec))
+
+
 def merge_moments(partials_ds, keys: list[str], spec: dict):
     """Merge partial rows per key tuple: ONE partition-cardinality shuffle
-    + a pandas fold per partition (3× faster than Ray's built-in
+    + ``fold_moments`` per partition (3× faster than Ray's built-in
     Sum/Min/Max aggregate at sf0.1 — 14.5 s → 4.6 s for lineitem — and
     immune to its per-group overhead at corpus-scale key counts)."""
     from matrixprofile_ray.util import partitioned_group_map
 
-    aggs = merge_spec(spec)
-
-    def fold(part):
-        return part.groupby(keys, as_index=False).agg(**aggs)
-
-    return partitioned_group_map(partials_ds, keys, fold)
+    return partitioned_group_map(
+        partials_ds, keys, lambda part: fold_moments(part, keys, spec))
 
 
 def partial_rollup(batch: pa.Table, bucket_us: int) -> pa.Table:

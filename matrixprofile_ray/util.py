@@ -12,8 +12,6 @@ __all__ = [
     "cluster_cpus",
     "ensure_hash_shuffle",
     "partitioned_group_map",
-    "safe_materialize",
-    "scrub_empty_blocks",
     "shuffle_partitions",
 ]
 
@@ -50,44 +48,6 @@ def _hash_shuffle_active() -> bool:
         DataContext.get_current().shuffle_strategy
         == ShuffleStrategy.HASH_SHUFFLE
     )
-
-
-def scrub_empty_blocks(mds):
-    """Drop degenerate empty blocks from a MATERIALIZED dataset.
-
-    Ray 2.49's hash shuffle/aggregate emits a zero-row block with an EMPTY
-    schema for every partition that received no rows (with P partitions and
-    k < P distinct keys, that is P-k poison blocks). Those blocks bypass
-    map_batches UDFs (the batcher yields no batch for them) and, when one
-    is the FIRST block a downstream ``Shuffle(key_columns=...)`` sees, its
-    empty schema is broadcast to every aggregator and empty partitions then
-    die in ``finalize`` with ``ArrowInvalid: No match for FieldRef`` on the
-    sort key (observed on the materialize-rollup -> series-assembly path).
-    Rebuilding the dataset from only the non-empty block refs (zero-copy:
-    the refs are reused, one tiny metadata task per block) removes the
-    poison. No-op when the dataset has no empty blocks or no rows at all.
-    """
-    import ray.data as rd
-
-    keep, dropped = [], 0
-    for rb in mds.iter_internal_ref_bundles():
-        for block_ref, meta in rb.blocks:
-            if meta.num_rows:
-                keep.append(block_ref)
-            else:
-                dropped += 1
-    if not dropped or not keep:
-        return mds
-    return rd.from_arrow_refs(keep)
-
-
-def safe_materialize(ds):
-    """``ds.materialize()`` + :func:`scrub_empty_blocks`.
-
-    Use instead of bare ``materialize()`` whenever the materialized result
-    feeds another shuffle / groupby / join.
-    """
-    return scrub_empty_blocks(ds.materialize())
 
 
 def ensure_hash_shuffle() -> None:
@@ -181,8 +141,9 @@ def partitioned_group_map(
     ``_part`` column shipped through the exchange) and ``fn`` is called
     once per partition block. ``sort=False`` also removes the
     ``Concat.finalize`` ``sort_by`` that dies with ``ArrowInvalid`` when a
-    zero-column empty block (Ray's empty-hash-partition artifact, see
-    :func:`scrub_empty_blocks`) wins the schema-broadcast race. On the
+    zero-column empty block (Ray's empty-hash-partition artifact) wins the
+    schema-broadcast race, so an exchange's output feeds the next exchange
+    as it is (``tests/test_util.py::TestChainedExchange``). On the
     sort-shuffle fallback (small test clusters), the original
     tag-with-``_part`` + ``groupby.map_groups`` path is used.
 

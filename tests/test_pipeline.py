@@ -14,6 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrixprofile_ray.sources.pages import generate_pages, pages_dataset
 from matrixprofile_ray.stages.extract import add_domain, extract_text, verify_extraction
@@ -167,7 +168,7 @@ class TestFusedSeriesEquivalence:
     def test_fold_merges_partials_across_blocks(self, pages_table):
         """At test scale the coalesce already merges every bucket, so feed
         the fold per-block partials directly."""
-        from matrixprofile_ray.stages.domain_pipeline import DomainPipeline
+        from matrixprofile_ray.pipelines.flagship import fold_tiers
         from matrixprofile_ray.stages.rollup import partial_rollup
 
         grain = TIERS[self.TIERS[0]]
@@ -177,9 +178,9 @@ class TestFusedSeriesEquivalence:
             for i in range(0, N_PAGES, 500)
         ])
         assert len(split) > len(whole)
-        fold = DomainPipeline(tiers=self.TIERS).process_partition
         got, want = (
-            fold(df).sort_values(["domain", "tier"]).reset_index(drop=True)
+            fold_tiers(df, self.TIERS)
+            .sort_values(["domain", "tier"]).reset_index(drop=True)
             for df in (split, whole)
         )
         assert got[["domain", "tier", "n", "n_gaps"]].equals(
@@ -271,6 +272,53 @@ class TestGapfill:
         for _, row in series.iterrows():
             assert len(row["values"]) == row["n"]
             assert np.all(np.isfinite(np.asarray(row["values"])))
+
+
+@st.composite
+def _bucket_frames(draw):
+    """Bucket rows of up to 8 keys: some keys have one bucket, and a key
+    may repeat the buckets of the key before it in sorted order."""
+    keys = sorted(draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                                min_size=1, max_size=8, unique=True)))
+    rows, prev = [], None
+    for k in keys:
+        if prev is not None and draw(st.booleans()):
+            buckets = prev
+        else:
+            buckets = draw(st.lists(st.integers(0, 30), min_size=1,
+                                    max_size=12, unique=True))
+        rows += [(k, b * 1000, draw(st.integers(1, 50))) for b in buckets]
+        prev = buckets
+    frame = pd.DataFrame(rows, columns=["domain", "bucket_ts", "count"])
+    return frame, draw(st.integers(0, 2**31 - 1))
+
+
+class TestAssembleSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bucket_frames())
+    def test_equals_per_key_loop(self, case):
+        """The split at key changes gives, key by key, what one
+        ``assemble_series_row`` call per key gives."""
+        from matrixprofile_ray.stages.gapfill import (assemble_series,
+                                                      assemble_series_row)
+
+        df, seed = case
+        shuffled = df.sample(frac=1, random_state=seed)
+        part = shuffled.sort_values(["domain", "bucket_ts"], kind="stable")
+        got = assemble_series(part, "domain", "count", 1000, "1h")
+        want = []
+        for k in sorted(set(df["domain"])):
+            g = df[df["domain"] == k].sort_values("bucket_ts")
+            want.append({"domain": k, **assemble_series_row(
+                k, g["bucket_ts"].to_numpy(dtype=np.int64),
+                g["count"].to_numpy(dtype=np.float64), 1000, "1h")})
+        want = pd.DataFrame(want)
+        # the key first, under the caller's name
+        assert list(got.columns) == list(want.columns)
+        for col in got.columns.drop("values"):
+            assert got[col].tolist() == want[col].tolist(), col
+        for g, w in zip(got["values"], want["values"]):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestGorillaStage:

@@ -1,7 +1,7 @@
 """Generic timeseries pipeline: exact events rollup (block-split
-invariance, salted two-phase equivalence, cascade, the coalesce and the
-fold) and series assembly over the events table under both shuffle
-paths, and the task-form profile/discovery stages."""
+invariance, the cascade from 1h partials, the coalesce and the fold) and
+series assembly over the events table under both shuffle paths, and the
+task-form profile/discovery stages."""
 
 from __future__ import annotations
 
@@ -88,14 +88,9 @@ class TestEventRollup:
             _assert_same_frame(other, frames[0])
 
     @SHUFFLES
-    def test_salted_equals_unsalted(self, ray_session, shuffle):
-        with _shuffle(shuffle):
-            plain = _sorted_rollup(_events(), H1)
-            salted = _sorted_rollup(_events(), H1, salt=4)
-        _assert_same_frame(salted, plain)
-
-    @SHUFFLES
-    def test_cascade_from_salted_partials(self, ray_session, shuffle):
+    def test_cascade_from_1h_partials(self, ray_session, shuffle):
+        """The 1d tier cascaded from the merged 1h partials is bit-identical
+        to the 1d rollup straight from the events."""
         from matrixprofile_ray.pipelines.timeseries import (
             cascade_events,
             rollup_events,
@@ -103,9 +98,7 @@ class TestEventRollup:
 
         with _shuffle(shuffle):
             direct = _sorted_rollup(_events(), D1)
-            partials = rollup_events(
-                _events(), H1, keep_partials=True, salt=4
-            )
+            partials = rollup_events(_events(), H1, keep_partials=True)
             cascaded = (
                 cascade_events(partials, D1)
                 .to_pandas()

@@ -1,8 +1,8 @@
-"""Tests for util: exchange sizing, the partitioned_group_map fold
-contract on both shuffle paths, and empty-block scrubbing (regression for
-the ArrowInvalid sort-key crash: Ray's hash shuffle/aggregate emits
-zero-column empty blocks for empty partitions, which poison the schema
-broadcast of any downstream keyed shuffle)."""
+"""Tests for util: exchange sizing, and the partitioned_group_map fold
+contract on both shuffle paths, chained exchanges included (Ray's
+exchanges leave a zero-column empty block per empty partition, which once
+poisoned the schema broadcast of a downstream keyed shuffle with an
+ArrowInvalid sort-key crash)."""
 
 from __future__ import annotations
 
@@ -159,45 +159,62 @@ class TestHashShufflePath:
         np.testing.assert_array_equal(out["c"].to_numpy(), [3, 1, 1])
 
 
-class TestScrubEmptyBlocks:
-    def test_scrub_drops_only_empty_blocks(self, ray_session):
-        import pyarrow as pa
+class TestChainedExchange:
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    def test_sparse_materialized_output_feeds_second_exchange(
+            self, ray_session, shuffle):
+        """A materialized exchange output with fewer keys than partitions
+        holds zero-row, zero-column blocks for its empty partitions (under
+        HASH_SHUFFLE one per empty partition); fed as it is into a second
+        exchange or a hash join it still gives the right result."""
         import ray
         import ray.data as rd
 
-        from matrixprofile_ray.util import safe_materialize
+        from matrixprofile_ray.util import partitioned_group_map
 
-        real1 = pa.table({"k": ["a", "b"], "v": [1, 2]})
-        poison = pa.table({}).select([])
-        ds = rd.from_arrow([poison, real1, poison])
-        scrubbed = safe_materialize(ds)
-        rows = scrubbed.to_pandas().sort_values("k").reset_index(drop=True)
-        assert list(rows["k"]) == ["a", "b"]
-        for rb in scrubbed.iter_internal_ref_bundles():
-            for block_ref, meta in rb.blocks:
-                assert meta.num_rows > 0
-                blk = ray.get(block_ref)
-                assert len(blk.schema.names) == 2
-
-    def test_scrub_noop_on_dense_and_all_empty(self, ray_session):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from matrixprofile_ray.util import scrub_empty_blocks
-
-        real = pa.table({"k": ["a"], "v": [1]})
-        dense = rd.from_arrow([real]).materialize()
-        assert scrub_empty_blocks(dense) is dense
-
-        poison = pa.table({}).select([])
-        empty = rd.from_arrow([poison]).materialize()
-        assert scrub_empty_blocks(empty) is empty
+        df = pd.DataFrame({"g": ["a", "b", "a", "c", "a"],
+                           "v": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        ctx = (_hash_shuffle_ctx() if shuffle == "hash"
+               else contextlib.nullcontext())
+        with ctx:
+            ds = rd.from_pandas([df.iloc[:2], df.iloc[2:]])
+            first = partitioned_group_map(ds, ["g"], _make_fold(),
+                                          num_partitions=16).materialize()
+            blocks = [(meta.num_rows, ray.get(ref))
+                      for bundle in first.iter_internal_ref_bundles()
+                      for ref, meta in bundle.blocks]
+            assert any(n == 0 and len(blk.columns) == 0 for n, blk in blocks)
+            out = (
+                partitioned_group_map(
+                    first, ["g"],
+                    lambda p: p.groupby("g", as_index=False).agg(
+                        s=("s", "sum"), c=("c", "sum")),
+                    num_partitions=16,
+                )
+                .to_pandas()
+                .sort_values("g")
+                .reset_index(drop=True)
+            )
+            other = rd.from_pandas(pd.DataFrame({"h": ["a", "c", "d"],
+                                                 "w": [10, 30, 40]}))
+            joined = (
+                first.join(other, join_type="inner", num_partitions=2,
+                           on=("g",), right_on=("h",))
+                .to_pandas()
+                .sort_values("g")
+                .reset_index(drop=True)
+            )
+        assert list(out["g"]) == ["a", "b", "c"]
+        np.testing.assert_array_equal(out["s"].to_numpy(), [9.0, 2.0, 4.0])
+        np.testing.assert_array_equal(out["c"].to_numpy(), [3, 1, 1])
+        assert list(joined["g"]) == ["a", "c"]
+        np.testing.assert_array_equal(joined["w"].to_numpy(), [10, 30])
 
 
 @st.composite
 def _fold_cases(draw):
     # up to 12 keys against up to 64 partitions: many partitions get no
-    # key at all (the empty-partition case scrub_empty_blocks exists for)
+    # key at all, and so an empty block
     return {
         "n_rows": draw(st.integers(1, 300)),
         "n_keys": draw(st.integers(1, 12)),
