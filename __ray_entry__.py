@@ -799,12 +799,12 @@ def q_mstomp_w24_1h(sf_dir: str):
 
     Both dimensions assemble inside ONE partitioned_group_map over the
     bucket table (its rows already carry both columns) and mstomp runs
-    in the same fold — no driver-side to_pandas or pandas merge
-    (round-4 VERDICT item 3). Gap-fill matches series_from_buckets
-    exactly: same sort, same per-(key, tier) noise seed."""
+    in the same fold — no driver-side to_pandas or pandas merge. Gap-fill
+    is series_from_buckets' own: the same sort, then the one series
+    assembly (``stages.gapfill.assemble_series``) per dimension."""
     from matrixprofile_ray.core.mstomp import mstomp
     from matrixprofile_ray.pipelines.timeseries import rollup_events
-    from matrixprofile_ray.stages.gapfill import assemble_series_row
+    from matrixprofile_ray.stages.gapfill import assemble_series
     from matrixprofile_ray.util import partitioned_group_map
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
@@ -812,16 +812,13 @@ def q_mstomp_w24_1h(sf_dir: str):
 
     def fold(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["event_type", "bucket_ts"], kind="stable")
+        # one assembly per dimension; both come out in the same key order
+        count, mean = (assemble_series(part, "event_type", col, H1, "events")
+                       for col in ("count", "mean_value"))
         rows = []
-        for k, g in part.groupby("event_type", sort=False):
-            b = g["bucket_ts"].to_numpy(dtype=np.int64)
-            ts2 = np.vstack([
-                np.asarray(assemble_series_row(
-                    k, b, g[col].to_numpy(dtype=np.float64), H1, "events",
-                )["values"], dtype="d")
-                for col in ("count", "mean_value")
-            ])
-            p = mstomp(ts2, 24)
+        for k, a, b in zip(count["event_type"], count["values"],
+                           mean["values"]):
+            p = mstomp(np.vstack([a, b]), 24)
             rows.append({
                 "event_type": k,
                 "w": 24,

@@ -1,8 +1,9 @@
 """Series assembly + gap-fill: sorted bucket rows → one dense series per key.
 
-``assemble_series`` is the one assembly, called by both partition folds
-(``pipelines.flagship.fold_tiers`` per tier, and
-``pipelines.timeseries.series_from_buckets``): it takes rows sorted by
+``assemble_series`` is the one assembly, called by every series fold
+(``pipelines.flagship.fold_tiers`` per tier,
+``pipelines.timeseries.series_from_buckets``, and the multidimensional
+profile query once per dimension): it takes rows sorted by
 (key, bucket_ts), splits them where the key changes and calls
 ``assemble_series_row`` per key. That re-indexes the key's buckets onto
 the dense bucket grid (missing buckets → NaN), then imputes them with the
@@ -30,6 +31,11 @@ from matrixprofile_ray.core.preprocess import preprocess
 __all__ = ["assemble_series", "assemble_series_row"]
 
 DEFAULT_MAX_BUCKETS = 2**18  # ~2 MiB of float64 per series, hard cap
+
+# the series columns after the key, for a partition with no key to emit
+_SERIES_DTYPES = {"tier": "object", "start_ts": "int64", "bucket_us": "int64",
+                  "n": "int64", "n_gaps": "int64", "truncated": "bool",
+                  "values": "object"}
 
 
 def assemble_series_row(
@@ -94,7 +100,17 @@ def assemble_series(
     add_noise: bool = True,
 ) -> pd.DataFrame:
     """Bucket rows sorted by (``key``, bucket_ts) → one series row per key,
-    in key order, with ``key`` as the first column."""
+    in key order, with ``key`` as the first column. Rows with a null key
+    are dropped, as a pandas groupby drops them; with no key left the
+    frame is empty but typed."""
+    null = part[key].isna()
+    if null.any():
+        part = part[~null]
+    if not len(part):
+        return pd.DataFrame({
+            key: pd.Series(dtype=part[key].dtype),
+            **{c: pd.Series(dtype=t) for c, t in _SERIES_DTYPES.items()},
+        })
     k = part[key].to_numpy()
     ts = part["bucket_ts"].to_numpy(dtype=np.int64)
     v = part[value_col].to_numpy(dtype=np.float64)

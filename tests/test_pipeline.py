@@ -189,6 +189,35 @@ class TestFusedSeriesEquivalence:
         for g, w in zip(got["values"], want["values"]):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    def test_null_domain_partition(self, ray_session, pages_table, shuffle):
+        """A url without a scheme has a null domain; its rows can reach a
+        partition that holds no other domain. They are dropped there, as
+        the groupby drops them, and the job does not fail."""
+        import pyarrow.compute as pc
+        import ray.data as rd
+
+        from matrixprofile_ray.pipelines.flagship import series_all_tiers
+
+        domains = add_domain(pages_table).column("domain")
+        one = pages_table.filter(pc.equal(domains, domains[0]))
+        urls = one["url"].to_pylist()
+        urls[0] = "dns:host"
+        bad = one.set_column(0, "url", pa.array(urls, one["url"].type))
+        ctx = _hash_shuffle_ctx() if shuffle == "hash" else contextlib.nullcontext()
+        with ctx:
+            got, want = (
+                series_all_tiers(rd.from_arrow(t), tiers=self.TIERS)
+                .to_pandas().sort_values("tier").reset_index(drop=True)
+                for t in (bad, one.slice(1))
+            )
+        assert got["domain"].tolist() == [domains[0].as_py()] * len(self.TIERS)
+        assert got.drop(columns="values").equals(want.drop(columns="values"))
+        for g, w in zip(got["values"], want["values"]):
+            assert np.asarray(g, dtype="d").tobytes() == (
+                np.asarray(w, dtype="d").tobytes()
+            )
+
     @pytest.fixture(scope="class")
     def per_tier(self, ray_session, pages_table):
         """Per-tier series assembled from DuckDB bucket tables."""
@@ -319,6 +348,26 @@ class TestAssembleSeries:
             assert got[col].tolist() == want[col].tolist(), col
         for g, w in zip(got["values"], want["values"]):
             assert g.tobytes() == w.tobytes()
+
+
+    def test_empty_input_is_typed(self, pages_table):
+        """No rows, or only null-key rows, give zero series rows with the
+        columns a non-empty fold has."""
+        from matrixprofile_ray.pipelines.flagship import fold_tiers
+        from matrixprofile_ray.stages.gapfill import assemble_series
+        from matrixprofile_ray.stages.rollup import partial_rollup
+
+        tiers = ("1h", "1d")
+        partials = partial_rollup(pages_table, TIERS["1h"]).to_pandas()
+        full = fold_tiers(partials, tiers)
+        null = fold_tiers(partials.assign(domain=None), tiers)
+        empty = assemble_series(partials.iloc[:0], "domain", "count",
+                                TIERS["1h"], "1h")
+        for out in (null, empty):
+            assert len(out) == 0
+            assert list(out.columns) == list(full.columns)
+            assert out.dtypes.drop("values").equals(
+                full.dtypes.drop("values"))
 
 
 class TestGorillaStage:

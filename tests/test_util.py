@@ -159,15 +159,67 @@ class TestHashShufflePath:
         np.testing.assert_array_equal(out["c"].to_numpy(), [3, 1, 1])
 
 
+def _blocks(mds) -> list:
+    """(num_rows, block) of a materialized dataset, in block order."""
+    import ray
+
+    return [(meta.num_rows, ray.get(ref))
+            for bundle in mds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks]
+
+
+def _chain(first):
+    """A second keyed exchange and a hash join over ``first`` (columns g,
+    s, c) as it is: the two ways an exchange output is consumed
+    downstream (series assembly over a materialized rollup; dedup's
+    joins)."""
+    import ray.data as rd
+
+    from matrixprofile_ray.util import partitioned_group_map
+
+    out = (
+        partitioned_group_map(
+            first, ["g"],
+            lambda p: p.groupby("g", as_index=False).agg(
+                s=("s", "sum"), c=("c", "sum")),
+            num_partitions=16,
+        )
+        .to_pandas()
+        .sort_values("g")
+        .reset_index(drop=True)
+    )
+    other = rd.from_pandas(pd.DataFrame({"h": ["a", "c", "d"],
+                                         "w": [10, 30, 40]}))
+    joined = (
+        first.join(other, join_type="inner", num_partitions=2,
+                   on=("g",), right_on=("h",))
+        .to_pandas()
+        .sort_values("g")
+        .reset_index(drop=True)
+    )
+    return out, joined
+
+
+def _assert_chain(out: pd.DataFrame, joined: pd.DataFrame) -> None:
+    assert list(out["g"]) == ["a", "b", "c"]
+    np.testing.assert_array_equal(out["s"].to_numpy(), [9.0, 2.0, 4.0])
+    np.testing.assert_array_equal(out["c"].to_numpy(), [3, 1, 1])
+    assert list(joined["g"]) == ["a", "c"]
+    np.testing.assert_array_equal(joined["w"].to_numpy(), [10, 30])
+
+
 class TestChainedExchange:
+    """Ray's exchanges leave a zero-row, zero-column block per empty
+    partition. Such a block once poisoned a downstream keyed shuffle when
+    it was the FIRST block that shuffle saw (its empty schema was
+    broadcast to every aggregator, which then died with ``ArrowInvalid:
+    No match for FieldRef`` on the sort key). Both tests feed such
+    blocks, unscrubbed, into a second exchange and a join."""
+
     @pytest.mark.parametrize("shuffle", ["sort", "hash"])
     def test_sparse_materialized_output_feeds_second_exchange(
             self, ray_session, shuffle):
-        """A materialized exchange output with fewer keys than partitions
-        holds zero-row, zero-column blocks for its empty partitions (under
-        HASH_SHUFFLE one per empty partition); fed as it is into a second
-        exchange or a hash join it still gives the right result."""
-        import ray
+        """A real exchange output with fewer keys than partitions."""
         import ray.data as rd
 
         from matrixprofile_ray.util import partitioned_group_map
@@ -180,35 +232,30 @@ class TestChainedExchange:
             ds = rd.from_pandas([df.iloc[:2], df.iloc[2:]])
             first = partitioned_group_map(ds, ["g"], _make_fold(),
                                           num_partitions=16).materialize()
-            blocks = [(meta.num_rows, ray.get(ref))
-                      for bundle in first.iter_internal_ref_bundles()
-                      for ref, meta in bundle.blocks]
-            assert any(n == 0 and len(blk.columns) == 0 for n, blk in blocks)
-            out = (
-                partitioned_group_map(
-                    first, ["g"],
-                    lambda p: p.groupby("g", as_index=False).agg(
-                        s=("s", "sum"), c=("c", "sum")),
-                    num_partitions=16,
-                )
-                .to_pandas()
-                .sort_values("g")
-                .reset_index(drop=True)
-            )
-            other = rd.from_pandas(pd.DataFrame({"h": ["a", "c", "d"],
-                                                 "w": [10, 30, 40]}))
-            joined = (
-                first.join(other, join_type="inner", num_partitions=2,
-                           on=("g",), right_on=("h",))
-                .to_pandas()
-                .sort_values("g")
-                .reset_index(drop=True)
-            )
-        assert list(out["g"]) == ["a", "b", "c"]
-        np.testing.assert_array_equal(out["s"].to_numpy(), [9.0, 2.0, 4.0])
-        np.testing.assert_array_equal(out["c"].to_numpy(), [3, 1, 1])
-        assert list(joined["g"]) == ["a", "c"]
-        np.testing.assert_array_equal(joined["w"].to_numpy(), [10, 30])
+            assert any(n == 0 and len(blk.columns) == 0
+                       for n, blk in _blocks(first))
+            _assert_chain(*_chain(first))
+
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    def test_empty_first_block_feeds_second_exchange(
+            self, ray_session, shuffle):
+        """The poison layout itself, independent of where the keys hash:
+        the first block (and every other one) is zero-row, zero-column."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        poison = pa.table({})
+        real = pa.table({"g": ["a", "b", "c"], "s": [9.0, 2.0, 4.0],
+                         "c": [3, 1, 1]})
+        ctx = (_hash_shuffle_ctx() if shuffle == "hash"
+               else contextlib.nullcontext())
+        with ctx:
+            first = rd.from_arrow([poison, real.slice(0, 2), poison,
+                                   real.slice(2), poison]).materialize()
+            blocks = _blocks(first)
+            assert [n for n, _ in blocks] == [0, 2, 0, 1, 0]
+            assert blocks[0][1].num_columns == 0
+            _assert_chain(*_chain(first))
 
 
 @st.composite
