@@ -1,4 +1,5 @@
-"""Optional C fast path for the MPX diagonal recurrence.
+"""Optional C fast paths: the MPX diagonal recurrence, the Gorilla
+codecs and the forward-mean gap fill of ``core.preprocess``.
 
 The numpy block kernel (mpx.py) makes ~13 full passes over O(block)
 scratch per diagonal block; under a 24-actor pool that saturates memory
@@ -9,9 +10,10 @@ scale linearly with cores.
 Compiled on first import with the system C compiler into the package dir
 (shared by every Ray worker on the node via the filesystem; an O_EXCL
 lock file keeps concurrent workers from racing the compile). If no
-compiler is available the import fails soft and callers fall back to the
-numpy kernel — results are identical either way (same update order and
-tie-breaking; parity-tested in tests/test_kernels.py).
+compiler is available the import fails soft with one ``RuntimeWarning``
+and callers fall back to the numpy kernels — results are identical either
+way (same update order and tie-breaking; parity-tested in
+tests/test_kernels.py and tests/test_preprocess.py).
 """
 
 from __future__ import annotations
@@ -21,17 +23,33 @@ import os
 import subprocess
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
 __all__ = [
     "native_mpx_self", "native_mpx_ab", "available",
     "native_gorilla_encode", "native_gorilla_decode",
-    "native_ts_encode", "native_ts_decode",
+    "native_ts_encode", "native_ts_decode", "native_impute_forward_mean",
 ]
 
 _SRC = r"""
+#include <math.h>
 #include <stdint.h>
+
+/* Forward-mean gap fill after the head window is filled: each non-finite
+   x[t] (t >= w) becomes the mean of the w-1 values before it, which are
+   final by then. The sum starts at +0.0 and runs left to right, as
+   Python's sum() over a list does (so a -0.0 run fills with +0.0). */
+void impute_fwd_mean(double *x, int64_t n, int64_t w)
+{
+    for (int64_t t = w; t < n; t++) {
+        if (isfinite(x[t])) continue;
+        double s = 0.0;
+        for (int64_t k = t - w + 1; k < t; k++) s += x[k];
+        x[t] = s / (double)(w - 1);
+    }
+}
 
 /* Self-join: diagonals ascending over [first_diag, last_diag); within a
    diagonal, offsets ascending; strict > updates reproduce the numpy
@@ -261,15 +279,17 @@ def _build_dir() -> str:
     return os.path.dirname(os.path.abspath(__file__))
 
 
-# versioned filename: the ABI changes (last_diag, gorilla codecs) mean a
-# stale cached .so from an older signature must never be dlopen'ed
-_SO_NAME = "_native_mpx_v4.so"
+# versioned filename: the ABI changes (last_diag, gorilla codecs, the
+# gap fill) mean a stale cached .so without a symbol must never be dlopen'ed
+_SO_NAME = "_native_mpx_v5.so"
 
 
-def _compile() -> str | None:
+def _compile() -> tuple[str | None, str]:
+    """Path of the built library (None if the build failed) and, on
+    failure, why."""
     out = os.path.join(_build_dir(), _SO_NAME)
     if os.path.exists(out):
-        return out
+        return out, ""
     lock = out + ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -278,15 +298,16 @@ def _compile() -> str | None:
         # another worker is compiling; wait briefly for it
         for _ in range(100):
             if os.path.exists(out):
-                return out
+                return out, ""
             time.sleep(0.1)
-        return None
+        return None, f"timed out waiting for another process's build ({lock})"
     try:
         with tempfile.NamedTemporaryFile(
             "w", suffix=".c", delete=False, dir=_build_dir()
         ) as fh:
             fh.write(_SRC)
             src = fh.name
+        why = "no C compiler found (tried cc, gcc, clang)"
         for cc in ("cc", "gcc", "clang"):
             try:
                 res = subprocess.run(
@@ -299,8 +320,9 @@ def _compile() -> str | None:
             if res.returncode == 0:
                 os.replace(out + ".tmp", out)
                 break
+            why = f"{cc} failed: {res.stderr.decode(errors='replace').strip()}"
         os.unlink(src)
-        return out if os.path.exists(out) else None
+        return (out, "") if os.path.exists(out) else (None, why)
     finally:
         try:
             os.unlink(lock)
@@ -312,13 +334,14 @@ def _load():
     global _LIB
     if _LIB is not None:
         return _LIB
-    path = _compile()
-    if path is None:
-        _LIB = False
-        return _LIB
+    path, why = _compile()
     try:
+        if path is None:
+            raise OSError(why)
         lib = ctypes.CDLL(path)
-    except OSError:
+    except OSError as exc:
+        warnings.warn(f"native kernels unavailable, using the numpy paths: "
+                      f"{exc}", RuntimeWarning, stacklevel=2)
         _LIB = False
         return _LIB
     dp = ctypes.POINTER(ctypes.c_double)
@@ -342,6 +365,8 @@ def _load():
     lib.ts_encode.restype = i64
     lib.ts_decode.argtypes = [u8p, i64, ip]
     lib.ts_decode.restype = i64
+    lib.impute_fwd_mean.argtypes = [dp, i64, i64]
+    lib.impute_fwd_mean.restype = None
     _LIB = lib
     return _LIB
 
@@ -371,6 +396,16 @@ def native_mpx_self(ts, mu, sig, df, dg, w, first_diag, mp, mpi,
         ctypes.c_int64(first_diag), ctypes.c_int64(last_diag),
         _p(mp), _pi(mpi),
     )
+    return True
+
+
+def native_impute_forward_mean(x: np.ndarray, w: int) -> bool:
+    """Fill ``x``'s non-finite values past its (already filled) head
+    window in place; False if no compiler."""
+    lib = _load()
+    if not lib:
+        return False
+    lib.impute_fwd_mean(_p(x), ctypes.c_int64(len(x)), ctypes.c_int64(w))
     return True
 
 

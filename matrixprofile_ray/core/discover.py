@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from matrixprofile_ray.core import mathutil
-from matrixprofile_ray.core.mass2 import mass2
+from matrixprofile_ray.core.mass2 import mass2, mass2_fft
+from matrixprofile_ray.core.moving import moving_avg_std
 from matrixprofile_ray.core.mpdist import mpdist_vector
 
 __all__ = [
@@ -57,6 +58,9 @@ def top_k_motifs(
     motifs = []
     if exclusion_zone is None:
         exclusion_zone = default_ez
+    # every neighbor search queries this series at this window
+    ts_fft = np.fft.fft(ts)
+    meanx, sigmax = moving_avg_std(ts, window_size)
 
     for _ in range(k):
         min_idx = int(np.argmin(mp))
@@ -67,7 +71,8 @@ def top_k_motifs(
         first_idx = int(min(min_idx, pi[min_idx]))
         second_idx = int(max(min_idx, pi[min_idx]))
 
-        dist_profile = mass2(ts, ts[first_idx : first_idx + window_size])
+        dist_profile = mass2_fft(ts_fft, meanx, sigmax,
+                                 ts[first_idx : first_idx + window_size])
         dist_profile[~np.isfinite(mp)] = np.inf
 
         for j in (first_idx, second_idx):

@@ -11,22 +11,30 @@ import numpy as np
 
 from matrixprofile_ray.core.moving import moving_avg_std
 
-__all__ = ["mass2"]
+__all__ = ["mass2", "mass2_fft"]
 
 
 def mass2(ts: np.ndarray, query: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
     """Distance profile of ``query`` over ``ts`` (complex dtype like the ref)."""
     ts = np.asarray(ts, dtype="d")
+    meanx, sigmax = moving_avg_std(ts, len(query))
+    return mass2_fft(np.fft.fft(ts), meanx, sigmax, query, threshold)
+
+
+def mass2_fft(ts_fft: np.ndarray, meanx: np.ndarray, sigmax: np.ndarray,
+              query: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
+    """``mass2`` from the series' FFT and its ``moving_avg_std`` at the
+    query's length, so a caller that queries one series several times
+    computes them once."""
     query = np.asarray(query, dtype="d")
-    n = len(ts)
+    n = len(ts_fft)
     m = len(query)
 
     meany = np.mean(query)
     sigmay = np.std(query)
-    meanx, sigmax = moving_avg_std(ts, m)
 
     y = np.concatenate([query[::-1], np.zeros(n - m)])
-    z = np.fft.ifft(np.fft.fft(ts) * np.fft.fft(y))
+    z = np.fft.ifft(ts_fft * np.fft.fft(y))
 
     denom = sigmax * sigmay
     denom = np.where(denom == 0, 1e-12, denom)

@@ -4,11 +4,22 @@ Parity target: reference preprocess.py:91-270. ``impute_missing`` is the
 gap-fill semantics for the rollup pipeline (north rule): NaN/Inf buckets are
 filled from the window statistic in a forward (or backward) sweep, with the
 endpoints seeded from the nearest finite value.
+
+Each series takes one pass of each kind:
+- the forward-mean fill with ``window`` ≤ 8 is a C loop over the gaps
+  (``core._native``); the generic window sweep is the reference semantics
+  and the path for wider windows, other methods, backward fill and a
+  build with no compiler;
+- the noise windows are found from the equal-value runs all at once, and
+  one ``rng.uniform`` draw covers them all in ascending window order,
+  which is the per-window draw sequence of the reference's scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from matrixprofile_ray.core import _native
 
 __all__ = [
     "is_subsequence_constant",
@@ -66,27 +77,18 @@ def impute_missing(
         bad = ~np.isfinite(temp)
 
     if (direction.startswith("f") and method == "mean"
-            and window <= 8 and len(temp) >= window):
-        # (window ≤ 8 keeps python sum() bit-identical to np.mean, which
-        # switches to unrolled/pairwise accumulation on longer slices)
-        # Fast path, EXACT same results as the generic sweep below: after
-        # window 0 is filled (the seeded endpoint makes it non-empty), each
-        # later window introduces at most one new NaN — its rightmost
-        # element — so the sweep degenerates to a scalar recurrence
-        # x[t] = mean(x[t-w+1:t]). Python-float arithmetic on a list keeps
-        # it ~200x faster than per-window numpy slicing on sparse series.
-        n = len(temp)
+            and 2 <= window <= 8 and len(temp) >= window
+            and _native.available()):
+        # EXACT same results as the generic sweep below: after window 0 is
+        # filled (the seeded endpoint makes it non-empty), each later
+        # window holds at most one new gap, its rightmost element, so the
+        # sweep is the recurrence x[t] = mean(x[t-w+1:t]). np.mean sums
+        # ≤ 7 values left to right from +0.0, as the C loop does (on 8 or
+        # more it switches to unrolled pairwise sums — hence window ≤ 8)
         head_bad = bad[:window]
         if head_bad.any():
             temp[:window][head_bad] = temp[:window][~head_bad].mean()
-        gaps = np.flatnonzero(bad[window:]) + window
-        if len(gaps):
-            buf = temp.tolist()
-            wm1 = window - 1
-            for t in gaps:
-                seg = buf[t - wm1 : t]
-                buf[t] = sum(seg) / wm1
-            temp = np.asarray(buf)
+        _native.native_impute_forward_mean(temp, window)
         return temp
 
     if direction.startswith("f"):
@@ -125,19 +127,17 @@ def preprocess(
         # next fully-un-noised constant window is s+window), expressed over
         # maximal equal-value runs: within a run [a, b) noise lands at
         # a, a+w, a+2w, ... while the window fits. Same windows in the same
-        # ascending order ⇒ identical rng draw sequence ⇒ identical output,
-        # but O(#runs + #noised) instead of a per-position python loop
-        # (imputation of sparse series creates ~n-long constant runs).
+        # ascending order ⇒ the same rng stream ⇒ identical output.
         n = len(temp)
         if n >= window:
             change = np.flatnonzero(temp[1:] != temp[:-1]) + 1
             starts = np.concatenate([[0], change])
-            ends = np.concatenate([change, [n]])
-            for a, b in zip(starts, ends):
-                s = a
-                while s + window <= b:
-                    temp[s : s + window] = add_noise_to_series(
-                        temp[s : s + window], rng=rng
-                    )
-                    s += window
+            fits = (np.concatenate([change, [n]]) - starts) // window
+            total = int(fits.sum())
+            if total:
+                first = np.cumsum(fits) - fits  # each run's first window id
+                win = np.repeat(starts, fits) + window * (
+                    np.arange(total) - np.repeat(first, fits))
+                pos = (win[:, None] + np.arange(window)).ravel()
+                temp[pos] += rng.uniform(0, 0.0000009, size=len(pos))
     return temp

@@ -12,8 +12,9 @@ Execution topology — exactly ONE all-to-all exchange:
               per-partition fold, per tier: fold_moments → assemble_series
             └─ series rows (one per domain × tier)  [materialized: tiny]
                ├─ map_batches(encode_series)        → series_gorilla
-               └─ map_batches(ProfileStage(...))    tasks
-                  └─ map_batches(DiscoveryStage())  tasks → discoveries
+               └─ ProfileStage.split                k pieces of equal cells
+                  └─ map_batches(ProfileStage(...))    one task per piece
+                     └─ map_batches(DiscoveryStage())  one task per piece
 
 The corpus is scanned ONCE; the partial combine collapses it to
 ≤ (domains × finest-tier buckets) rows before the single shuffle, so the
@@ -89,29 +90,15 @@ def flagship(
     """Run the full pipeline; returns dict with the series / gorilla /
     profiles / discoveries Datasets (series rows carry a ``tier`` column).
 
-    ``profile_concurrency`` caps the number of concurrent profile tasks.
+    ``profile_concurrency`` caps the number of concurrent profile tasks,
+    and the series is cut into that many cells-balanced pieces (at most
+    one per cluster CPU; ``ProfileStage.split``).
     Persisted, resumable outputs are ``pipelines/runner.py``'s job.
     """
     # one dense row per (domain, tier) — tiny relative to pages; at
     # 100 TB the equivalent is write_parquet + read of the series
     # table so downstream consumers never rescan the corpus
-    # materialize BEFORE repartitioning: chaining the repartition
-    # AllToAll onto the hash-groupby plan triples the stage's wall time
-    # (measured 24s -> 85s at 1M pages); then split so no profile task
-    # gets a whole shuffle-output block. Block size is a real lever
-    # BOTH ways: Ray pays ~ms-scale machinery per task (8-row blocks
-    # cost ~25 s per stage at 32k rows), but too-few blocks starve the
-    # workers (32-row blocks at 800 rows → 25 tasks for 30 CPUs:
-    # 15 s → 24 s regression). Size adaptively: ≥8 blocks per
-    # concurrent task, 4..32 rows.
     series = series_all_tiers(pages_ds, tiers=tiers).materialize()
-    n_rows = series.count()
-    rows_per_block = max(
-        4, min(32, n_rows // (max(1, int(profile_concurrency)) * 8))
-    )
-    profile_input = series.repartition(
-        target_num_rows_per_block=rows_per_block
-    ).materialize()
 
     # gorilla encode is C-speed per value: run it on the BIG shuffle-output
     # blocks (1.05 s) — tiny repartitioned blocks cost 24x more in pure
@@ -119,17 +106,24 @@ def flagship(
     gorilla = series.map_batches(encode_series, batch_format="pandas")
     # both stages hold only config: run them as elastic TASKS on the warm
     # workers — an actor pool pays an actor start-up on every job and
-    # statically takes CPUs away from the stage after it
-    profiles = profile_input.map_batches(
-        ProfileStage(window=window, algorithm=algorithm),
+    # statically takes CPUs away from the stage after it. The profile
+    # stage's own split gives each concurrent task one block of equal
+    # estimated cells; batch_size=None keeps one block = one task. The
+    # 4..32-row rule this replaces ran 19 profile and 19 discovery tasks
+    # on the 600-row pages-rollup series at 1 CPU; split + profile +
+    # discovery fell from 1.62 s to 1.24 s with one block and to 1.18 s
+    # with two cells-balanced blocks (seed 5, 6 reps each)
+    stage = ProfileStage(window=window, algorithm=algorithm)
+    profiles = stage.split(series, profile_concurrency).map_batches(
+        stage,
         batch_format="pandas",
-        batch_size=32,
+        batch_size=None,
         concurrency=profile_concurrency,
     )
     discoveries = profiles.map_batches(
         DiscoveryStage(),
         batch_format="pandas",
-        batch_size=32,
+        batch_size=None,
     )
     return {
         "series": series,

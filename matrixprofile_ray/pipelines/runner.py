@@ -174,10 +174,10 @@ def run_resumable(
                 os.path.join(out_dir, stage, f"shard={k}"), ignore_errors=True
             )
         t0 = time.time()
-        shard_series = rd.read_parquet(shard_dir)
+        shard_series = rd.read_parquet(shard_dir).materialize()
         n_in = shard_series.count()
-        # one task per block: split so the profile tasks load-balance
-        shard_series = shard_series.repartition(max(1, n_in // 2)).materialize()
+        stage = ProfileStage(window=window, algorithm=algorithm,
+                             carry_values=True)
 
         gorilla = shard_series.map_batches(
             encode_series, batch_format="pandas"
@@ -185,12 +185,12 @@ def run_resumable(
         gorilla.write_parquet(os.path.join(out_dir, "gorilla", f"shard={k}"))
 
         # both stages hold only config: configured instances run as
-        # tasks (profile_concurrency caps the concurrent tasks)
-        profiles = shard_series.map_batches(
-            ProfileStage(window=window, algorithm=algorithm,
-                         carry_values=True),
+        # tasks, one per block of the stage's cells-balanced split
+        # (profile_concurrency caps the concurrent tasks)
+        profiles = stage.split(shard_series, profile_concurrency).map_batches(
+            stage,
             batch_format="pandas",
-            batch_size=4,
+            batch_size=None,
             concurrency=profile_concurrency,
         ).materialize()
         profiles.map_batches(
@@ -200,7 +200,7 @@ def run_resumable(
         discoveries = profiles.map_batches(
             DiscoveryStage(),
             batch_format="pandas",
-            batch_size=4,
+            batch_size=None,
             concurrency=profile_concurrency,
         )
         discoveries.map_batches(

@@ -47,14 +47,21 @@ class DiscoveryStage:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        for i in range(len(batch)):
-            domain = batch[self.key_col].iloc[i]
-            tier = batch["tier"].iloc[i]
-            w = int(batch["w"].iloc[i])
-            mp = np.asarray(batch["mp"].iloc[i], dtype="d")
-            pi = np.asarray(batch["pi"].iloc[i], dtype=np.int64)
-            values = np.asarray(batch["values"].iloc[i], dtype="d")
-            ez = int(batch["ez"].iloc[i]) if "ez" in batch else 0
+        n = len(batch)
+        if not n:  # an empty block may have no columns at all
+            return self._frame(rows)
+        # one column read per batch, not one .iloc per row and column
+        keys, tiers = batch[self.key_col].to_numpy(), batch["tier"].to_numpy()
+        ws = batch["w"].to_numpy()
+        mps, pis = batch["mp"].to_numpy(), batch["pi"].to_numpy()
+        series = batch["values"].to_numpy()
+        ezs = batch["ez"].to_numpy() if "ez" in batch else np.zeros(n)
+        for i in range(n):
+            domain, tier, w = keys[i], tiers[i], int(ws[i])
+            mp = np.asarray(mps[i], dtype="d")
+            pi = np.asarray(pis[i], dtype=np.int64)
+            values = np.asarray(series[i], dtype="d")
+            ez = int(ezs[i])
             # discovery needs a non-zero exclusion zone even for mpx profiles
             # (reference analyze.py passes the profile ez; mpx self-join ez=0
             # would return adjacent trivial matches) — use ceil(w/2) floor.
@@ -91,6 +98,9 @@ class DiscoveryStage:
                 for rank, idx in enumerate(regimes):
                     emit("regime", rank, idx, -1, [], cac[idx])
 
+        return self._frame(rows)
+
+    def _frame(self, rows: list[dict]) -> pd.DataFrame:
         if not rows:
             return pd.DataFrame(
                 {c: [] for c in [self.key_col, "tier", "w", "kind", "rank",

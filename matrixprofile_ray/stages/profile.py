@@ -1,7 +1,19 @@
 """Matrix-profile stage: series rows → profile rows.
 
-Usage: ``series_ds.map_batches(ProfileStage(window=..., algorithm='mpx'),
-batch_format='pandas', batch_size=B, concurrency=N)``.
+Usage::
+
+    stage = ProfileStage(window=..., algorithm='mpx')
+    stage.split(series_ds, N).map_batches(stage, batch_format='pandas',
+                                          batch_size=None, concurrency=N)
+
+``ProfileStage.split`` is the one block rule of every profile call site
+that runs a fixed window: it cuts the materialized series into k =
+min(N, cluster CPUs) contiguous pieces of equal estimated kernel cells
+(``ProfileStage.cells``: (n − w + 1)² per row, 0 for a row the stage
+skips), so one block is one task and the tasks finish together. Series
+lengths vary ~30× on the flagship, so cells per row vary ~800×: a
+row-count rule leaves one task with most of the work, and a fine one
+pays Ray's per-task machinery on every small block.
 
 ``ProfileStage`` holds only validated config, so every call site
 (``pipelines/flagship.py``, ``pipelines/timeseries.py``,
@@ -97,6 +109,39 @@ class ProfileStage:
         self.carry_values = carry_values
         self.key_col = key_col
 
+    def min_len(self, w: int) -> int:
+        """Shortest series the stage profiles at window ``w``."""
+        return max(self.min_len_factor * w, w + 4)
+
+    def cells(self, n: np.ndarray) -> np.ndarray:
+        """Estimated kernel cells of series of lengths ``n`` at the fixed
+        window: (n − w + 1)², 0 for a series the stage skips."""
+        n = np.asarray(n, dtype=np.int64)
+        plen = n - self.window + 1
+        return np.where(n >= self.min_len(self.window), plen * plen, 0)
+
+    def split(self, series, concurrency: int):
+        """Materialized ``series`` → the same rows in the same order, cut
+        into k = min(``concurrency``, cluster CPUs) contiguous pieces of
+        equal cumulative :meth:`cells`. Reads only the ``n`` column and
+        runs no exchange; at k = 1, or with nothing to profile, returns
+        ``series`` as it is. Every piece holds at most total/k + the
+        largest row's cells. A piece that spans input blocks stays as
+        those block slices (Ray runs one task per block)."""
+        from matrixprofile_ray.util import cluster_cpus
+
+        k = min(int(concurrency), cluster_cpus())
+        if k <= 1:
+            return series
+        n = [b["n"] for b in series.select_columns(["n"]).iter_batches(
+            batch_size=None, batch_format="numpy")]
+        cum = np.cumsum(self.cells(np.concatenate(n) if n else []))
+        if not len(cum) or not cum[-1]:
+            return series
+        cuts = np.searchsorted(cum, cum[-1] * np.arange(1, k) / k, "right")
+        first, *rest = series.split_at_indices(cuts.tolist())
+        return first.union(*rest)
+
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         rows = []
         windows = (
@@ -106,7 +151,7 @@ class ProfileStage:
         for i in range(len(batch)):
             w = int(windows[i])
             values = np.asarray(batch["values"].iloc[i], dtype="d")
-            if len(values) < self.min_len_factor * w or len(values) < w + 4:
+            if len(values) < self.min_len(w):
                 continue  # series too short for this window
             domain = batch[self.key_col].iloc[i]
             tier = batch["tier"].iloc[i]

@@ -407,6 +407,148 @@ class TestFlagshipSmoke:
         assert (discoveries["score"] >= 0).all()
 
 
+def _split_blocks(ds) -> list[pd.DataFrame]:
+    """The non-empty blocks of ``ds`` in block order, as pandas."""
+    import ray
+
+    out = []
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                blk = ray.get(ref)
+                out.append(blk if isinstance(blk, pd.DataFrame)
+                           else blk.to_pandas())
+    return out
+
+
+class TestProfileSplit:
+    """``ProfileStage.split``: contiguous pieces of equal estimated cells,
+    row order kept, no exchange."""
+
+    W = 8
+
+    def _check(self, stage, series, concurrency, ids, n):
+        import ray
+
+        blocks = _split_blocks(stage.split(series, concurrency))
+        got = np.concatenate([b["id"].to_numpy() for b in blocks]) if blocks else []
+        np.testing.assert_array_equal(got, ids)
+        cells = stage.cells(n)
+        k = min(concurrency, int(ray.cluster_resources()["CPU"]))
+        bound = cells.sum() / k + (cells.max() if len(cells) else 0)
+        for b in blocks:
+            assert stage.cells(b["n"].to_numpy()).sum() <= bound
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+           n_blocks=st.integers(1, 4), concurrency=st.integers(1, 8))
+    def test_blocks_cover_rows_in_order_and_balance(
+            self, ray_session, n, n_blocks, concurrency):
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.profile import ProfileStage
+
+        df = pd.DataFrame({"id": np.arange(len(n)), "n": n})
+        bounds = np.linspace(0, len(df), n_blocks + 1).astype(int)
+        series = rd.from_pandas(
+            [df.iloc[a:b] for a, b in zip(bounds, bounds[1:])]).materialize()
+        self._check(ProfileStage(window=self.W), series, concurrency,
+                    df["id"].to_numpy(), np.asarray(n))
+
+    def test_more_pieces_than_rows(self, ray_session):
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.profile import ProfileStage
+
+        df = pd.DataFrame({"id": [0, 1], "n": [100, 40]})
+        self._check(ProfileStage(window=self.W),
+                    rd.from_pandas(df).materialize(), 4, [0, 1], df["n"])
+
+    def test_every_row_skipped(self, ray_session):
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.profile import ProfileStage
+
+        df = pd.DataFrame({"id": [0, 1, 2], "n": [3, 5, 7]})
+        series = rd.from_pandas(df).materialize()
+        stage = ProfileStage(window=self.W)
+        assert stage.split(series, 4) is series
+        self._check(stage, series, 4, [0, 1, 2], df["n"])
+
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    def test_fold_output_with_fewer_keys_than_partitions(
+            self, ray_session, shuffle):
+        """An exchange's output holds empty (under HASH_SHUFFLE zero-row,
+        zero-column) blocks; the split and both stages take them."""
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.discovery import DiscoveryStage
+        from matrixprofile_ray.stages.profile import ProfileStage
+        from matrixprofile_ray.util import partitioned_group_map
+
+        def fold(part):
+            rng = np.random.default_rng(len(part))
+            return pd.DataFrame([
+                {"domain": d, "tier": "1h", "start_ts": 0, "bucket_us": 1,
+                 "n": int(g["m"].sum()),
+                 "values": rng.normal(size=int(g["m"].sum()))}
+                for d, g in part.groupby("domain")])
+
+        src = pd.DataFrame({"domain": ["a", "b", "c", "a"],
+                            "m": [30, 80, 12, 50]})
+        ctx = _hash_shuffle_ctx() if shuffle == "hash" else contextlib.nullcontext()
+        with ctx:
+            series = partitioned_group_map(
+                rd.from_pandas([src.iloc[:2], src.iloc[2:]]), ["domain"],
+                fold, num_partitions=16).materialize()
+            stage = ProfileStage(window=self.W)
+            profiles = stage.split(series, 4).map_batches(
+                stage, batch_format="pandas", batch_size=None).materialize()
+            disc = profiles.map_batches(
+                DiscoveryStage(), batch_format="pandas",
+                batch_size=None).to_pandas()
+            got = profiles.to_pandas()
+        # "c" (12 points) is shorter than the stage's floor, 2w = 16
+        assert sorted(got["domain"]) == ["a", "b"]
+        assert sorted(got["n"]) == [80, 80]
+        assert set(disc["domain"]) == {"a", "b"}
+
+
+class TestFlagshipConcurrency:
+    @pytest.mark.parametrize("shuffle", ["sort", "hash"])
+    def test_profiles_and_discoveries_do_not_depend_on_it(
+            self, ray_session, pages_table, shuffle):
+        import ray.data as rd
+
+        from matrixprofile_ray.pipelines.flagship import flagship
+
+        def run(concurrency):
+            # a source made inside the context runs on its shuffle path
+            res = flagship(rd.from_arrow(pages_table), window=8,
+                           tiers=("1h", "1d"),
+                           profile_concurrency=concurrency)
+            return tuple(
+                res[name].to_pandas().sort_values(keys, kind="stable")
+                .reset_index(drop=True)
+                for name, keys in (
+                    ("profiles", ["domain", "tier"]),
+                    ("discoveries", ["domain", "tier", "kind", "rank"])))
+
+        ctx = _hash_shuffle_ctx() if shuffle == "hash" else contextlib.nullcontext()
+        with ctx:
+            want = run(1)
+            assert len(want[0]) > 0 and len(want[1]) > 0
+            for concurrency in (2, 4):
+                for g, w in zip(run(concurrency), want):
+                    assert list(g.columns) == list(w.columns)
+                    for col in g.columns:
+                        for a, b in zip(g[col], w[col]):
+                            if isinstance(a, np.ndarray):
+                                assert a.tobytes() == b.tobytes()
+                            else:
+                                assert a == b or (a is None and b is None)
+
+
 class TestParquetCorpusPath:
     def test_write_read_column_pruned(self, ray_session, tmp_path):
         """The 100TB input path: corpus parquet → pruned read → rollup."""
