@@ -108,11 +108,11 @@ def flagship(
     # workers — an actor pool pays an actor start-up on every job and
     # statically takes CPUs away from the stage after it. The profile
     # stage's own split gives each concurrent task one block of equal
-    # estimated cells; batch_size=None keeps one block = one task. The
-    # 4..32-row rule this replaces ran 19 profile and 19 discovery tasks
-    # on the 600-row pages-rollup series at 1 CPU; split + profile +
-    # discovery fell from 1.62 s to 1.24 s with one block and to 1.18 s
-    # with two cells-balanced blocks (seed 5, 6 reps each)
+    # estimated cells, and batch_size=None keeps one block = one task:
+    # Ray's per-task machinery dominates small blocks (on the 600-row
+    # pages-rollup series at 1 CPU, split + profile + discovery took
+    # 1.62 s as 19 blocks of 4..32 rows, 1.24 s as one block and 1.18 s
+    # as two cells-balanced blocks; seed 5, 6 reps each)
     stage = ProfileStage(window=window, algorithm=algorithm)
     profiles = stage.split(series, profile_concurrency).map_batches(
         stage,

@@ -165,7 +165,7 @@ class TestOnePassPreprocess:
 
     @pytest.mark.parametrize("x", [
         [np.nan] * 6,                                  # all NaN
-        [-0.0, -0.0, -0.0, np.nan, -0.0, -0.0, 1.0],  # -0.0 sums to +0.0
+        [-0.0, -0.0, -0.0, -0.0, -0.0, np.nan, 1.0],  # -0.0 sums to +0.0
         [1.0, np.nan],                                 # n < window
     ])
     def test_edges(self, x):
