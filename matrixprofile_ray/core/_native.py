@@ -1,5 +1,6 @@
 """Optional C fast paths: the MPX diagonal recurrence, the Gorilla
-codecs and the forward-mean gap fill of ``core.preprocess``.
+codecs, the forward-mean gap fill of ``core.preprocess`` and the STAMPI
+append loop of ``core.stampi``.
 
 The numpy block kernel (mpx.py) makes ~13 full passes over O(block)
 scratch per diagonal block; under a 24-actor pool that saturates memory
@@ -14,6 +15,12 @@ compiler is available the import fails soft with one ``RuntimeWarning``
 and callers fall back to the numpy kernels — results are identical either
 way (same update order and tie-breaking; parity-tested in
 tests/test_kernels.py and tests/test_preprocess.py).
+
+The build passes ``-ffp-contract=off``: a compiler may otherwise fuse a
+multiply and an add into one FMA (GCC does by default on aarch64), which
+rounds once instead of twice and breaks bit-identity with the numpy
+mirrors. x86-64 builds without ``-march`` emit no FMA, so their output
+is the same with or without the flag.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "native_mpx_self", "native_mpx_ab", "available",
     "native_gorilla_encode", "native_gorilla_decode",
     "native_ts_encode", "native_ts_decode", "native_impute_forward_mean",
+    "native_stampi_extend",
 ]
 
 _SRC = r"""
@@ -48,6 +56,59 @@ void impute_fwd_mean(double *x, int64_t n, int64_t w)
         double s = 0.0;
         for (int64_t k = t - w + 1; k < t; k++) s += x[k];
         x[t] = s / (double)(w - 1);
+    }
+}
+
+/* STAMPI: subsequences s in [s0, s1) of ts (n values, window w) join a
+   self-join profile whose entries [0, s0) are final. Per s, in one pass:
+   the query's stats from its own sums; each earlier window j's stats by
+   moving_avg_std's cumsum formula (running sums in the same order, so
+   bit-identical); the dot product summed in k order from +0.0; the
+   distance by mathutil.distance_profile's formula, inf for a constant
+   window on either side or a non-finite value; a strict-< merge into
+   mp[j] for j < s - ez, and mp[s]/pi[s] = the first minimum there
+   (inf/0 when there is none). */
+void stampi_extend(const double *ts, int64_t n, int64_t w, int64_t ez,
+                   int64_t s0, int64_t s1, double *mp, int64_t *pi)
+{
+    const double dw = (double)w;
+    if (s1 > n - w + 1) s1 = n - w + 1;
+    for (int64_t s = s0; s < s1; s++) {
+        const double *q = ts + s;
+        double qs = q[0], qs2 = q[0] * q[0];
+        for (int64_t k = 1; k < w; k++) { qs += q[k]; qs2 += q[k] * q[k]; }
+        double qmu = qs / dw, qv = qs2 / dw - qmu * qmu;
+        double qsig = sqrt(qv > 0.0 || isnan(qv) ? qv : 0.0);
+        double best = INFINITY;
+        int64_t bi = 0;
+        int64_t cut = s - ez;
+        if (qsig != 0.0 && cut > 0) {
+            /* cs/cs2 run as np.cumsum: hi = cs[j + w - 1], lo = cs[j - 1] */
+            double hi = ts[0], hi2 = ts[0] * ts[0], lo = 0.0, lo2 = 0.0;
+            for (int64_t k = 1; k < w; k++) { hi += ts[k]; hi2 += ts[k] * ts[k]; }
+            for (int64_t j = 0; j < cut; j++) {
+                if (j) {
+                    double a = ts[j + w - 1], b = ts[j - 1];
+                    hi += a; hi2 += a * a;
+                    if (j == 1) { lo = b; lo2 = b * b; }
+                    else { lo += b; lo2 += b * b; }
+                }
+                double acc = 0.0;
+                for (int64_t k = 0; k < w; k++) acc += ts[j + k] * q[k];
+                double sm = j ? hi - lo : hi, sq = j ? hi2 - lo2 : hi2;
+                double mj = sm / dw, v = sq / dw - mj * mj;
+                double sj = sqrt(v > 0.0 || isnan(v) ? v : 0.0);
+                double d = INFINITY;
+                if (sj != 0.0) {
+                    double arg = 2.0 * (dw - (acc - dw * mj * qmu) / (sj * qsig));
+                    if (isfinite(arg)) d = sqrt(arg > 0.0 ? arg : 0.0);
+                }
+                if (d < mp[j]) { mp[j] = d; pi[j] = s; }
+                if (d < best) { best = d; bi = j; }
+            }
+        }
+        mp[s] = best;
+        pi[s] = bi;
     }
 }
 
@@ -280,8 +341,9 @@ def _build_dir() -> str:
 
 
 # versioned filename: the ABI changes (last_diag, gorilla codecs, the
-# gap fill) mean a stale cached .so without a symbol must never be dlopen'ed
-_SO_NAME = "_native_mpx_v5.so"
+# gap fill, the STAMPI loop) mean a stale cached .so without a symbol
+# must never be dlopen'ed
+_SO_NAME = "_native_mpx_v6.so"
 
 
 def _compile() -> tuple[str | None, str]:
@@ -311,7 +373,8 @@ def _compile() -> tuple[str | None, str]:
         for cc in ("cc", "gcc", "clang"):
             try:
                 res = subprocess.run(
-                    [cc, "-O3", "-fPIC", "-shared", "-o", out + ".tmp", src],
+                    [cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared",
+                     "-o", out + ".tmp", src],
                     capture_output=True,
                     timeout=60,
                 )
@@ -367,6 +430,8 @@ def _load():
     lib.ts_decode.restype = i64
     lib.impute_fwd_mean.argtypes = [dp, i64, i64]
     lib.impute_fwd_mean.restype = None
+    lib.stampi_extend.argtypes = [dp, i64, i64, i64, i64, i64, dp, ip]
+    lib.stampi_extend.restype = None
     _LIB = lib
     return _LIB
 
@@ -406,6 +471,19 @@ def native_impute_forward_mean(x: np.ndarray, w: int) -> bool:
     if not lib:
         return False
     lib.impute_fwd_mean(_p(x), ctypes.c_int64(len(x)), ctypes.c_int64(w))
+    return True
+
+
+def native_stampi_extend(ts: np.ndarray, w: int, ez: int, s0: int,
+                         mp: np.ndarray, pi: np.ndarray) -> bool:
+    """Join subsequences [``s0``, ``len(mp)``) of ``ts`` into ``mp``/``pi``
+    in place; False if no compiler."""
+    lib = _load()
+    if not lib:
+        return False
+    lib.stampi_extend(_p(ts), ctypes.c_int64(len(ts)), ctypes.c_int64(w),
+                      ctypes.c_int64(ez), ctypes.c_int64(s0),
+                      ctypes.c_int64(len(mp)), _p(mp), _pi(pi))
     return True
 
 

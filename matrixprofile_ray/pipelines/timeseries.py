@@ -170,31 +170,34 @@ def series_from_buckets(
 
 def profile_series(series_ds, window: int, key: str = "event_type",
                    algorithm: str = "mpx", concurrency=2):
-    """Series rows → profile rows via ``ProfileStage`` run as tasks.
+    """Materialized series rows → profile rows via ``ProfileStage`` run
+    as tasks.
 
     The stage holds only config, so a configured instance runs as
     stateless Ray tasks on the warm workers (``concurrency`` caps the
     concurrent tasks): no actor start-up per job, and no CPUs held once
-    the stage is done.
+    the stage is done. The stage's own split gives each concurrent task
+    one block of equal estimated cells, as in ``flagship()``.
     """
     from matrixprofile_ray.stages.profile import ProfileStage
 
-    return series_ds.map_batches(
-        ProfileStage(window=window, algorithm=algorithm, key_col=key),
+    stage = ProfileStage(window=window, algorithm=algorithm, key_col=key)
+    return stage.split(series_ds, concurrency).map_batches(
+        stage,
         batch_format="pandas",
-        batch_size=4,
+        batch_size=None,
         concurrency=concurrency,
     )
 
 
 def discover_series(profiles_ds, key: str = "event_type", concurrency=2, **kwargs):
-    """Profile rows → discoveries rows via ``DiscoveryStage`` run as tasks
-    (``concurrency`` caps the concurrent tasks)."""
+    """Profile rows → discoveries rows via ``DiscoveryStage`` run as tasks,
+    one per profile block (``concurrency`` caps the concurrent tasks)."""
     from matrixprofile_ray.stages.discovery import DiscoveryStage
 
     return profiles_ds.map_batches(
         DiscoveryStage(key_col=key, **kwargs),
         batch_format="pandas",
-        batch_size=4,
+        batch_size=None,
         concurrency=concurrency,
     )

@@ -123,24 +123,32 @@ class ProfileStage:
     def split(self, series, concurrency: int):
         """Materialized ``series`` → the same rows in the same order, cut
         into k = min(``concurrency``, cluster CPUs) contiguous pieces of
-        equal cumulative :meth:`cells`. Reads only the ``n`` column and
+        equal cumulative :meth:`cells`: each row joins the piece its
+        cells' midpoint falls in, so a row larger than total/k is not
+        merged with the rows after it. Reads only the ``n`` column and
         runs no exchange; at k = 1, or with nothing to profile, returns
         ``series`` as it is. Every piece holds at most total/k + the
-        largest row's cells. A piece that spans input blocks stays as
-        those block slices (Ray runs one task per block)."""
+        largest row's cells. A piece that spans input blocks is merged
+        into one block, so the pieces run as at most k tasks."""
         from matrixprofile_ray.util import cluster_cpus
 
         k = min(int(concurrency), cluster_cpus())
         if k <= 1:
             return series
-        n = [b["n"] for b in series.select_columns(["n"]).iter_batches(
-            batch_size=None, batch_format="numpy")]
-        cum = np.cumsum(self.cells(np.concatenate(n) if n else []))
+        n_ds = series.select_columns(["n"])
+        # the cuts index rows in block order: a map's output may arrive
+        # out of order (it did in a fresh 4-CPU session) unless asked
+        n_ds.context.execution_options.preserve_order = True
+        n = [b["n"] for b in n_ds.iter_batches(batch_size=None,
+                                               batch_format="numpy")]
+        cells = self.cells(np.concatenate(n) if n else [])
+        cum = np.cumsum(cells)
         if not len(cum) or not cum[-1]:
             return series
-        cuts = np.searchsorted(cum, cum[-1] * np.arange(1, k) / k, "right")
-        first, *rest = series.split_at_indices(cuts.tolist())
-        return first.union(*rest)
+        cuts = np.searchsorted(cum - cells / 2, cum[-1] * np.arange(1, k) / k)
+        pieces = [p if p.num_blocks() <= 1 else p.repartition(1).materialize()
+                  for p in series.split_at_indices(cuts.tolist())]
+        return pieces[0].union(*pieces[1:])
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         rows = []

@@ -10,8 +10,11 @@ Topology: ``StreamingProfiler`` owns N ``_ProfileShard`` actors; every
 update() hash-routes its rows by key (same crc32-based routing as the
 resumable runner's shards, deterministic across runs) and appends value
 blocks IN TIMESTAMP ORDER to each key's incremental STAMPI state via
-``stampi_append_many`` (core/stampi.py — bit-identical to per-point
-appends, amortized Python dispatch). snapshot() returns current profiles.
+``stampi_append_many`` (core/stampi.py: one exact O(n·w) pass per
+appended point, bit-identical to per-point appends). A shard groups each
+routed micro-batch with one ``pd.factorize`` and a stable argsort: keys in
+first-appearance order, each key's values in arrival order, null keys
+dropped. snapshot() returns current profiles.
 
 Fault tolerance (round-2 verdict item 4): when ``checkpoint_dir`` is set,
 * shards are created with ``max_restarts`` so Ray revives a dead actor,
@@ -115,9 +118,18 @@ def _make_shard_cls():
             if batch_id <= self.last_applied:       # replay overshoot
                 return 0, self.last_applied, self.last_ckpt
             core = self._core
-            df = pd.DataFrame({"k": keys, "v": values})
-            for k, g in df.groupby("k", sort=False):
-                vals = g["v"].to_numpy(dtype="d")
+            values = np.asarray(values, dtype="d")
+            # one factorize + stable argsort groups the rows: keys in
+            # first-appearance order, each key's values in arrival order,
+            # null keys (code -1) dropped. Filled element-wise, the object
+            # array keeps a tuple key one scalar.
+            key_arr = np.empty(len(keys), dtype=object)
+            key_arr[:] = keys
+            codes, uniques = pd.factorize(key_arr)
+            order = np.argsort(codes, kind="stable")
+            bounds = np.searchsorted(codes[order], np.arange(len(uniques) + 1))
+            for i, k in enumerate(uniques):
+                vals = values[order[bounds[i]:bounds[i + 1]]]
                 state = self.states.get(k)
                 if state is None:
                     state = core.stampi_init(vals, self.window)
@@ -129,7 +141,7 @@ def _make_shard_cls():
             self._since_ckpt += 1
             if self.checkpoint_dir and self._since_ckpt >= self.checkpoint_every:
                 self.checkpoint()
-            return len(df), self.last_applied, self.last_ckpt
+            return len(values), self.last_applied, self.last_ckpt
 
         def applied_ids(self) -> tuple[int, int]:
             return self.last_applied, self.last_ckpt
@@ -184,8 +196,10 @@ class StreamingProfiler:
         """Shard id per row, O(new unique keys) Python instead of O(rows)
         (round-3 verdict item 7): crc32 runs once per never-seen key; a
         steady-state stream of 10^5 rows/micro-batch over a stable key
-        universe routes with one np.unique + one vectorized take."""
-        uniq, inv = np.unique(keys, return_inverse=True)
+        universe routes with one pd.factorize + one vectorized take. A
+        null key is routed like any other (the shard drops its rows);
+        factorize, unlike a sort, takes it next to string keys."""
+        inv, uniq = pd.factorize(keys, use_na_sentinel=False)
         shards = np.empty(len(uniq), dtype=np.int64)
         cache = self._route_cache
         for i, k in enumerate(uniq):

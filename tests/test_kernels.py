@@ -243,6 +243,32 @@ class TestStampiAppendMany:
             np.testing.assert_array_equal(s1["mp"], s2["mp"])
 
 
+class TestStampiExactProducts:
+    def test_long_stream_matches_brute_force(self):
+        """3,000 points appended one at a time stay within 1e-8 relative
+        of a brute-force profile: exact dot products do not drift."""
+        w, boot, n = 24, 100, 3000
+        ez = int(np.ceil(w / 2))
+        x = np.cumsum(np.random.default_rng(3).normal(size=n))
+        state = core.stampi_init(x[:boot], w)
+        for v in x[boot:]:
+            state = core.stampi_append(state, v)
+
+        sub = np.lib.stride_tricks.sliding_window_view(x, w)
+        z = sub - sub.mean(axis=1, keepdims=True)
+        z /= np.sqrt((z * z).sum(axis=1, keepdims=True))
+        idx = np.arange(len(sub))
+        want = np.empty(len(sub))
+        for lo in range(0, len(sub), 256):      # 256 rows at a time
+            corr = np.clip(z[lo:lo + 256] @ z.T, -1.0, 1.0)
+            dist = np.sqrt(np.maximum(2.0 * w * (1.0 - corr), 0.0))
+            dist[np.abs(idx[lo:lo + 256, None] - idx[None, :]) <= ez] = np.inf
+            want[lo:lo + 256] = dist.min(axis=1)
+        assert len(state["mp"]) == len(want)
+        rel = np.abs(state["mp"] - want) / want
+        assert rel.max() <= 1e-8, rel.max()
+
+
 class TestSkimp:
     def test_binary_split_order(self):
         # reference skimp.py:46-94: BFS binary split visits 0 first then midpoints

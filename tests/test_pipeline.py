@@ -475,6 +475,37 @@ class TestProfileSplit:
         assert stage.split(series, 4) is series
         self._check(stage, series, 4, [0, 1, 2], df["n"])
 
+    def test_piece_spanning_blocks_is_one_block(self, ray_session):
+        """A piece that spans input blocks becomes one block: a 3-block
+        series at k = 2 gives 2 blocks (2 tasks), rows in order."""
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.profile import ProfileStage
+
+        df = pd.DataFrame({"id": np.arange(30), "n": np.full(30, 100)})
+        series = rd.from_pandas(
+            [df.iloc[0:10], df.iloc[10:20], df.iloc[20:30]]).materialize()
+        stage = ProfileStage(window=self.W)
+        blocks = _split_blocks(stage.split(series, 2))
+        assert [len(b) for b in blocks] == [15, 15]
+        self._check(stage, series, 2, df["id"].to_numpy(), df["n"])
+
+    def test_row_larger_than_a_piece_stands_alone(self, ray_session):
+        """A row with more than total/k cells is not merged with the rows
+        after it: they still run as a task of their own."""
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.profile import ProfileStage
+
+        n = np.full(32, 40)
+        n[0] = 3000
+        df = pd.DataFrame({"id": np.arange(32), "n": n})
+        stage = ProfileStage(window=self.W)
+        blocks = _split_blocks(stage.split(rd.from_pandas(df).materialize(), 4))
+        assert [b["id"].tolist() for b in blocks] == [[0], list(range(1, 32))]
+        self._check(stage, rd.from_pandas(df).materialize(), 4,
+                    df["id"].to_numpy(), n)
+
     @pytest.mark.parametrize("shuffle", ["sort", "hash"])
     def test_fold_output_with_fewer_keys_than_partitions(
             self, ray_session, shuffle):

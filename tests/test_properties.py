@@ -178,6 +178,51 @@ def test_stampi_always_matches_batch(data):
     assert np.all(diff / scale < 1e-3)
 
 
+# values that exercise the STAMPI loop's policies: constant windows (runs),
+# non-finite values (inf distance), and -0.0 (the cumsum's first term)
+_stampi_value = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
+              allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(st.tuples(_stampi_value, st.integers(1, 12)),
+                     min_size=1, max_size=40),
+       w=st.integers(4, 12), boot=st.integers(0, 60),
+       chunks=st.lists(st.integers(0, 30), min_size=1, max_size=12))
+def test_stampi_native_equals_numpy_mirror(runs, w, boot, chunks):
+    """The C append loop and its numpy mirror (no compiler) give
+    byte-identical profiles, through the 2w bootstrap and any chunking."""
+    from matrixprofile_ray.core import _native
+
+    ts = np.repeat([v for v, _ in runs], [r for _, r in runs]).astype("d")
+    boot = min(boot, len(ts))
+
+    def run():
+        with np.errstate(all="ignore"):
+            state = core.stampi_init(ts[:boot].copy(), w)
+            i = boot
+            for c in chunks * (1 + len(ts) // max(1, sum(chunks))):
+                state = core.stampi_append_many(state, ts[i: i + c])
+                i += c
+            return core.stampi_append_many(state, ts[i:])
+
+    assert _native.available()
+    native = run()
+    saved = _native._LIB
+    _native._LIB = False
+    try:
+        mirror = run()
+    finally:
+        _native._LIB = saved
+    assert native["ts"].tobytes() == mirror["ts"].tobytes() == ts.tobytes()
+    assert native["mp"].tobytes() == mirror["mp"].tobytes()
+    assert native["pi"].tobytes() == mirror["pi"].tobytes()
+    assert len(native["mp"]) == (len(ts) - w + 1 if len(ts) >= 2 * w else 0)
+
+
 # ---------------------------------------------------------------- corpus ops
 
 text_strategy = st.lists(

@@ -130,6 +130,50 @@ class TestStreamingProfiler:
             )
 
 
+class TestShardIngest:
+    def test_interleaved_shuffled_and_null_keys(self, ray_session):
+        """Micro-batches whose keys interleave, whose rows arrive shuffled
+        against their ts_col and which hold null-key rows give the
+        snapshot (rows, key order, profiles) of per-key sequential
+        appends; the null-key rows are dropped."""
+        rng = np.random.default_rng(4)
+        w = 8
+        keys = ["b", "a", "c"]
+        series = {k: np.cumsum(rng.normal(size=60)) for k in keys}
+        cuts = ((0, 30), (30, 31), (31, 60))
+
+        def batch(lo, hi):
+            rows = [(k, t * len(keys) + i, series[k][t])
+                    for t in range(lo, hi) for i, k in enumerate(keys)]
+            # a null key sorts first by ts, and one more sits mid-batch
+            rows += [(None, -1, 7.0), (None, hi * len(keys) - 2, 8.0)]
+            df = pd.DataFrame(rows, columns=["key", "ts", "value"])
+            return df.iloc[rng.permutation(len(df))]
+
+        def snap(prof):
+            return prof.snapshot().reset_index(drop=True)
+
+        got_prof = StreamingProfiler(window=w, num_shards=2)
+        want_prof = StreamingProfiler(window=w, num_shards=2)
+        try:
+            for lo, hi in cuts:
+                b = batch(lo, hi)
+                assert got_prof.update(b, ts_col="ts") == len(b)
+                for k in keys:
+                    want_prof.update(pd.DataFrame(
+                        {"key": k, "value": series[k][lo:hi]}))
+            got, want = snap(got_prof), snap(want_prof)
+        finally:
+            got_prof.shutdown()
+            want_prof.shutdown()
+        assert sorted(got["key"]) == sorted(keys)
+        assert got["key"].tolist() == want["key"].tolist()
+        assert got["n"].tolist() == want["n"].tolist() == [60] * 3
+        for col in ("mp", "pi"):
+            for g, x in zip(got[col], want[col]):
+                assert np.asarray(g).tobytes() == np.asarray(x).tobytes()
+
+
 class TestRoutingVectorized:
     def test_route_array_matches_scalar_route(self, ray_session):
         prof = StreamingProfiler(window=8, num_shards=4)
