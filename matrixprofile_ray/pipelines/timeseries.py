@@ -10,12 +10,14 @@ exact under any split of the rows, so the partials are coalesced before
 the exchange as the pages partials are, and ``_finalize`` derives the
 float sum and mean from ``sum_mu`` — the one place that rule lives.
 
-Shuffle budget per query: ONE groupby on (key, bucket) after an in-batch
+Shuffle budget per query: ONE exchange on (key, bucket) after an in-batch
 Arrow combiner and the coalesce, folded per partition by the one merge
-fold (``stages.rollup.fold_moments``, through ``merge_moments``). Series
-assembly is one more exchange on the key, whose fold sorts each partition
-and hands it to the one series assembly (``stages.gapfill.assemble_series``)
-that the flagship's fold calls too.
+fold (``stages.rollup.fold_moments``, through ``merge_moments``), which
+also runs ``_finalize`` on its partition: below 8 CPUs the exchange is
+eager (``util.partitioned_group_map``), so a map after it would cost one
+more Ray Data execution. Series assembly is one more exchange on the key,
+whose fold sorts each partition and hands it to the one series assembly
+(``stages.gapfill.assemble_series``) that the flagship's fold calls too.
 """
 
 from __future__ import annotations
@@ -73,9 +75,13 @@ def _partial(batch: pa.Table, key: str, ts_col: str, value_col: str,
     return group_moments(tbl, ["key", "bucket_ts"], EVENT_MOMENTS)
 
 
-def _finalize(batch: pa.Table, key_out: str) -> pa.Table:
+def _finalize(part: pd.DataFrame, key_out: str) -> pa.Table:
     """Merged partials → bucket rows. sum = sum_mu / 1e6, then mean =
-    sum / count: the oracle SQL's float64 operation order."""
+    sum / count: the oracle SQL's float64 operation order. Runs in the
+    exchange's partition task, on the frame ``fold_moments`` returns."""
+    from ray.data.block import BlockAccessor
+
+    batch = BlockAccessor.for_block(part).to_arrow()
     mu = np.asarray(batch["sum_mu"], dtype=np.int64)
     s = mu.astype(np.float64) / 1e6
     return pa.table({
@@ -118,12 +124,9 @@ def rollup_events(
         lambda b: _partial(b, key, ts_col, value_col, bucket_us),
         batch_format="pyarrow",
     ), ["key"], EVENT_MOMENTS, bucket_us)
-    merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
-    if keep_partials:
-        return merged
-    return merged.map_batches(
-        lambda b: _finalize(b, key), batch_format="pyarrow"
-    )
+    finish = None if keep_partials else (lambda part: _finalize(part, key))
+    return merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS,
+                         finish=finish)
 
 
 def cascade_events(partial_ds, bucket_us: int, key_out: str = "event_type"):
@@ -135,10 +138,8 @@ def cascade_events(partial_ds, bucket_us: int, key_out: str = "event_type"):
     ensure_hash_shuffle()
 
     partials = coalesce(partial_ds, ["key"], EVENT_MOMENTS, bucket_us)
-    merged = merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS)
-    return merged.map_batches(
-        lambda b: _finalize(b, key_out), batch_format="pyarrow"
-    )
+    return merge_moments(partials, ["key", "bucket_ts"], EVENT_MOMENTS,
+                         finish=lambda part: _finalize(part, key_out))
 
 
 def series_from_buckets(

@@ -125,16 +125,18 @@ class ProfileStage:
         into k = min(``concurrency``, cluster CPUs) contiguous pieces of
         equal cumulative :meth:`cells`: each row joins the piece its
         cells' midpoint falls in, so a row larger than total/k is not
-        merged with the rows after it. Reads only the ``n`` column and
-        runs no exchange; at k = 1, or with nothing to profile, returns
+        merged with the rows after it. Reads only the ``n`` column (not
+        at k = 1) and runs no exchange; with nothing to profile, returns
         ``series`` as it is. Every piece holds at most total/k + the
-        largest row's cells. A piece that spans input blocks is merged
-        into one block, so the pieces run as at most k tasks."""
-        from matrixprofile_ray.util import cluster_cpus
+        largest row's cells. Each piece is one block (``util.cut_blocks``:
+        the pieces that are not one whole input block are cut by tasks
+        submitted together), so the pieces run as at most k tasks: at
+        k = 1 an exchange output of 2 × CPUs blocks still runs as one."""
+        from matrixprofile_ray.util import cluster_cpus, cut_blocks
 
         k = min(int(concurrency), cluster_cpus())
         if k <= 1:
-            return series
+            return cut_blocks(series, [])
         n_ds = series.select_columns(["n"])
         # the cuts index rows in block order: a map's output may arrive
         # out of order (it did in a fresh 4-CPU session) unless asked
@@ -146,9 +148,7 @@ class ProfileStage:
         if not len(cum) or not cum[-1]:
             return series
         cuts = np.searchsorted(cum - cells / 2, cum[-1] * np.arange(1, k) / k)
-        pieces = [p if p.num_blocks() <= 1 else p.repartition(1).materialize()
-                  for p in series.split_at_indices(cuts.tolist())]
-        return pieces[0].union(*pieces[1:])
+        return cut_blocks(series, cuts.tolist())
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         rows = []

@@ -3,13 +3,21 @@ high-cardinality groupby helper.
 
 This module is the one owner of exchange sizing: :func:`cluster_cpus` is
 the engine's only read of the cluster's resources, and
-:func:`shuffle_partitions` is the one partition rule.
+:func:`shuffle_partitions` is the one partition rule. It also owns the
+engine's two exchange paths (:func:`partitioned_group_map`): Ray Data's
+HASH_SHUFFLE on ≥ 8 CPUs, and below that an exchange of plain Ray tasks
+(one scatter per input block, one gather per partition) that returns a
+materialized Dataset. :func:`cut_blocks` builds its output the same way:
+block refs from tasks that return each block's metadata beside it.
 """
 
 from __future__ import annotations
 
+import functools
+
 __all__ = [
     "cluster_cpus",
+    "cut_blocks",
     "ensure_hash_shuffle",
     "partitioned_group_map",
     "shuffle_partitions",
@@ -55,9 +63,10 @@ def ensure_hash_shuffle() -> None:
     cluster.
 
     Our wide operations are all key-based groupbys (domain, (band, bucket),
-    content hash); none needs a global sort. Ray's default sort-based
-    shuffle costs tens of seconds of fixed latency per exchange at any
-    cluster size. The stock hash-shuffle defaults assume a big cluster
+    content hash); none needs a global sort, so none runs on Ray's
+    sort-based shuffle: below 8 CPUs :func:`partitioned_group_map`
+    exchanges with plain Ray tasks instead. The stock hash-shuffle
+    defaults assume a big cluster
     (200 partitions / up to 64 aggregator actors) and strangle small CPU
     counts — size both to the actual cluster (:func:`shuffle_partitions`)
     so aggregators never crowd out the compute pools. Safe to call
@@ -70,10 +79,11 @@ def ensure_hash_shuffle() -> None:
 
     cpus = cluster_cpus()
     if cpus < 8:
-        # on <8 CPUs stay on the default sort shuffle: the aggregator
-        # actors contend with compute pools (measured: the flagship's
-        # exchange on HASH_SHUFFLE with 1 aggregator and 2 partitions did
-        # not finish in 600 s at 1 CPU)
+        # on <8 CPUs leave the strategy alone, so partitioned_group_map
+        # takes its task exchange: HASH_SHUFFLE starts an aggregator actor
+        # on every execution (measured at 1 CPU, 1 aggregator, 2
+        # partitions, 0 CPUs per partition: 0.96-1.22 s per 1h events
+        # rollup, against 0.15 s on the task exchange)
         return
     ctx = DataContext.get_current()
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
@@ -143,23 +153,36 @@ def partitioned_group_map(
     ``Concat.finalize`` ``sort_by`` that dies with ``ArrowInvalid`` when a
     zero-column empty block (Ray's empty-hash-partition artifact) wins the
     schema-broadcast race, so an exchange's output feeds the next exchange
-    as it is (``tests/test_util.py::TestChainedExchange``). On the
-    sort-shuffle fallback (small test clusters), the original
-    tag-with-``_part`` + ``groupby.map_groups`` path is used.
+    as it is (``tests/test_util.py::TestChainedExchange``).
 
-    ``partition_batch_format`` controls the format of the *scatter* stage
-    in the fallback path. Ray's hash-shuffle scatter splits each tagged
-    block into ``num_partitions`` slices; splitting a pandas block pays a
-    frame-copy per slice, while Arrow blocks split by zero-copy take.
-    Pass "pyarrow" when every column is scalar-typed (no object/ragged
-    columns); ``fn`` still receives a pandas frame either way. Partition
-    assignment differs between the two paths (Ray's internal key hash vs
-    ``pd.util.hash_array``) but outputs do not: ``fn`` must process each
-    key independently and vectorized, so which partition a key lands in is
-    invisible in the result.
+    Otherwise (below 8 CPUs: perfbench, the test cluster) the exchange is
+    plain Ray tasks, and runs EAGERLY: ``ds`` runs once, one scatter task
+    per non-empty input block returns its rows of each partition (stable
+    order) plus their row counts, then one gather task per non-empty
+    partition concatenates its slices in input-block order and calls
+    ``fn`` once. The result is a MaterializedDataset of one block per
+    non-empty partition; an empty input gives an empty Dataset, and an
+    ``fn`` that raises makes this call raise. The partition ids are
+    computed per row, so nothing is sorted: Ray's sort-based groupby
+    spent most of a 1-CPU rollup in its ``Sort`` all-to-all, its
+    sampling and the ``map_groups`` operator. Being eager, the exchange
+    should be the last step of an execution: fold a per-row finishing
+    map into ``fn`` (``stages.rollup.merge_moments``' ``finish``) rather
+    than map the result, which costs one more Ray Data execution.
+
+    ``partition_batch_format`` is the format the task exchange's scatter
+    splits each block in: splitting a pandas block copies the frame,
+    while Arrow blocks split by zero-copy take. Pass "pyarrow" when every
+    column is scalar-typed (no object/ragged columns); ``fn`` receives a
+    pandas frame either way. Partition assignment differs between the
+    two paths (Ray's internal key hash vs ``pd.util.hash_array``) but
+    outputs do not: ``fn`` must process each key independently and
+    vectorized, so which partition a key lands in is invisible in the
+    result.
     """
     import numpy as np
     import pandas as pd
+    import ray
 
     if num_partitions is None:
         num_partitions = shuffle_partitions()
@@ -178,39 +201,154 @@ def partitioned_group_map(
             num_partitions, keys=keys, sort=False
         ).map_batches(run_block, batch_size=None, batch_format="pandas")
 
-    def _part_ids(cols: dict) -> np.ndarray:
-        h = None
-        for col in keys:
-            hc = pd.util.hash_array(np.asarray(cols[col])).astype(np.uint64)
-            h = hc if h is None else h * np.uint64(1099511628211) + hc
-        return (h % np.uint64(num_partitions)).astype(np.int64)
+    scatter = _remote(_scatter).options(num_returns=num_partitions + 1)
+    shards = [scatter.remote(ref, keys, num_partitions, partition_batch_format)
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if not shards:
+        return _from_block_refs([], [])
+    counts = np.array(ray.get([s[-1] for s in shards]))
+    gather = _remote(_gather).options(num_returns=2)
+    fn_ref = ray.put(fn)
+    out = [gather.remote(fn_ref, *[s[p] for s, n in zip(shards, counts[:, p])
+                                   if n])
+           for p in np.flatnonzero(counts.sum(axis=0)).tolist()]
+    return _from_block_refs([ref for ref, _ in out],
+                            ray.get([meta for _, meta in out]))
 
-    if partition_batch_format == "pyarrow":
-        import pyarrow as pa
 
-        def add_part(batch: "pa.Table") -> "pa.Table":
-            batch = batch.combine_chunks()
-            ids = _part_ids(
-                {
-                    col: batch[col].to_numpy(zero_copy_only=False)
-                    for col in keys
-                }
-            )
-            return batch.append_column("_part", pa.array(ids, pa.int64()))
+def _part_ids(cols: list, num_partitions: int):
+    """Partition id of every row: a seed-fixed ``pd.util.hash_array`` of
+    each key column, mixed FNV-style, modulo ``num_partitions``."""
+    import numpy as np
+    import pandas as pd
 
+    h = None
+    for col in cols:
+        hc = pd.util.hash_array(np.asarray(col)).astype(np.uint64)
+        h = hc if h is None else h * np.uint64(1099511628211) + hc
+    return (h % np.uint64(num_partitions)).astype(np.int64)
+
+
+def _scatter(block, keys: list[str], num_partitions: int, batch_format: str):
+    """One input block → its rows of each partition, in input order, as
+    ``num_partitions`` slices in ``batch_format`` (None where a partition
+    gets no row), then the slices' row counts."""
+    import numpy as np
+    from ray.data.block import BlockAccessor
+
+    acc = BlockAccessor.for_block(block)
+    if batch_format == "pyarrow":
+        tbl = acc.to_arrow()
+        cols = [tbl[c].to_numpy(zero_copy_only=False) for c in keys]
     else:
+        tbl = acc.to_pandas()
+        cols = [tbl[c].to_numpy() for c in keys]
+    ids = _part_ids(cols, num_partitions)
+    counts = np.bincount(ids, minlength=num_partitions).tolist()
+    parts = BlockAccessor.for_block(
+        BlockAccessor.for_block(tbl).take(np.argsort(ids, kind="stable")))
+    ends = np.cumsum(counts).tolist()
+    return (*[parts.slice(end - n, end) if n else None
+              for n, end in zip(counts, ends)], counts)
 
-        def add_part(batch: pd.DataFrame) -> pd.DataFrame:
-            ids = _part_ids({col: batch[col].to_numpy() for col in keys})
-            batch = batch.copy()
-            batch["_part"] = ids
-            return batch
 
-    def run_part(group: pd.DataFrame) -> pd.DataFrame:
-        return fn(group.drop(columns=["_part"]))
+def _concat(blocks):
+    """Blocks → one block, rows in the order given: pandas if every block
+    is pandas, else Arrow."""
+    import pandas as pd
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
 
-    return (
-        ds.map_batches(add_part, batch_format=partition_batch_format)
-        .groupby("_part")
-        .map_groups(run_part, batch_format="pandas")
+    if all(isinstance(b, pd.DataFrame) for b in blocks):
+        return pd.concat(blocks, ignore_index=True)
+    return pa.concat_tables(
+        [BlockAccessor.for_block(b).to_arrow() for b in blocks],
+        promote_options="default")
+
+
+def _gather(fn, *blocks):
+    """A partition's slices → ``fn`` of their concatenation as a pandas
+    frame (one call per partition), as a block, and its metadata."""
+    from ray.data.block import BlockAccessor, BlockMetadataWithSchema
+
+    block = BlockAccessor.batch_to_block(
+        fn(BlockAccessor.for_block(_concat(blocks)).to_pandas()))
+    return block, BlockMetadataWithSchema.from_block(block)
+
+
+def _cut(lo: int, hi: int, *blocks):
+    """Rows ``lo:hi`` of the blocks' concatenation, as a block, and its
+    metadata."""
+    from ray.data.block import BlockAccessor, BlockMetadataWithSchema
+
+    block = BlockAccessor.for_block(_concat(blocks)).slice(lo, hi)
+    return block, BlockMetadataWithSchema.from_block(block)
+
+
+@functools.cache
+def _remote(task):
+    import ray
+
+    return ray.remote(task)
+
+
+def _from_block_refs(refs: list, metas: list):
+    """Block refs + their metadata → a MaterializedDataset, as
+    ``ray.data.from_pandas_refs`` builds one, minus its metadata task per
+    block: each task that makes a block here returns its metadata beside
+    it."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromBlocks
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromBlocks": metas}, parent=None),
+        DataContext.get_current().copy(),
     )
+    return MaterializedDataset(
+        plan, LogicalPlan(FromBlocks(refs, metas), plan._context))
+
+
+def cut_blocks(ds, cuts: list[int]):
+    """Materialized ``ds`` → the same rows in the same order, cut before
+    each row index in ``cuts`` (ascending, at most its row count), as ONE
+    block per non-empty
+    piece. A piece that is one whole input block keeps it; every other
+    piece is cut out of its input blocks by one task, all submitted
+    together."""
+    import numpy as np
+    import ray
+    from ray.data.block import BlockMetadataWithSchema
+
+    blocks = [(ref, BlockMetadataWithSchema(meta, bundle.schema))
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    rows = np.array([meta.num_rows for _, meta in blocks], dtype=np.int64)
+    ends = np.cumsum(rows)
+    starts = ends - rows
+    bounds = [0, *cuts, int(ends[-1]) if len(ends) else 0]
+    cut = _remote(_cut).options(num_returns=2)
+    refs, metas, pending = [], [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo >= hi:
+            continue
+        # the input blocks first..last-1 hold rows lo..hi-1
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(starts, hi, side="left"))
+        if last - first == 1 and starts[first] == lo and ends[first] == hi:
+            ref, meta = blocks[first]
+        else:
+            off = lo - int(starts[first])
+            ref, meta = cut.remote(off, off + hi - lo,
+                                   *[ref for ref, _ in blocks[first:last]])
+            pending.append(len(refs))
+        refs.append(ref)
+        metas.append(meta)
+    for i, meta in zip(pending, ray.get([metas[i] for i in pending])):
+        metas[i] = meta
+    return _from_block_refs(refs, metas)
+

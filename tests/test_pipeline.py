@@ -235,8 +235,9 @@ class TestFusedSeriesEquivalence:
 
     @pytest.mark.parametrize("shuffle", ["sort", "hash"])
     def test_fused_equals_per_tier(self, pages_table, per_tier, shuffle):
-        """Under the sort-shuffle fallback small clusters take and under
-        the HASH_SHUFFLE path ``ensure_hash_shuffle`` picks at ≥8 CPUs."""
+        """Under the task exchange small clusters take (id ``sort``) and
+        under the HASH_SHUFFLE path ``ensure_hash_shuffle`` picks at ≥8
+        CPUs."""
         import ray.data as rd
 
         from matrixprofile_ray.pipelines.flagship import series_all_tiers

@@ -24,8 +24,8 @@ needs_testdata = pytest.mark.skipif(
 H1 = 3_600_000_000
 D1 = 86_400_000_000
 
-# the sort-shuffle fallback small clusters take, and the HASH_SHUFFLE
-# path ``ensure_hash_shuffle`` picks at >=8 CPUs
+# the task exchange small clusters take (id ``sort``), and the
+# HASH_SHUFFLE path ``ensure_hash_shuffle`` picks at >=8 CPUs
 SHUFFLES = pytest.mark.parametrize("shuffle", ["sort", "hash"])
 
 
@@ -117,9 +117,9 @@ class TestEventRollup:
 
         real, seen = ts.merge_moments, []
 
-        def spy(partials_ds, keys, spec):
+        def spy(partials_ds, keys, spec, **kwargs):
             seen.append(partials_ds.materialize())
-            return real(seen[-1], keys, spec)
+            return real(seen[-1], keys, spec, **kwargs)
 
         monkeypatch.setattr(ts, "merge_moments", spy)
         ds = _events(37)

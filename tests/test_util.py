@@ -1,5 +1,6 @@
 """Tests for util: exchange sizing, and the partitioned_group_map fold
-contract on both shuffle paths, chained exchanges included (Ray's
+contract on both exchange paths (Ray's HASH_SHUFFLE, and the task exchange
+below it, test id ``sort``), chained exchanges included (Ray's
 exchanges leave a zero-column empty block per empty partition, which once
 poisoned the schema broadcast of a downstream keyed shuffle with an
 ArrowInvalid sort-key crash)."""
@@ -213,13 +214,17 @@ class TestChainedExchange:
     partition. Such a block once poisoned a downstream keyed shuffle when
     it was the FIRST block that shuffle saw (its empty schema was
     broadcast to every aggregator, which then died with ``ArrowInvalid:
-    No match for FieldRef`` on the sort key). Both tests feed such
-    blocks, unscrubbed, into a second exchange and a join."""
+    No match for FieldRef`` on the sort key). Each test feeds an
+    exchange's output as it is into a second exchange and a join: the
+    hash shuffle's real output, and the poison layout itself on both
+    paths."""
 
     @pytest.mark.parametrize("shuffle", ["sort", "hash"])
     def test_sparse_materialized_output_feeds_second_exchange(
             self, ray_session, shuffle):
-        """A real exchange output with fewer keys than partitions."""
+        """A real exchange output with fewer keys than partitions. Ray's
+        hash shuffle leaves a zero-column block for an empty partition;
+        the task exchange gives no block to a partition without rows."""
         import ray.data as rd
 
         from matrixprofile_ray.util import partitioned_group_map
@@ -232,8 +237,14 @@ class TestChainedExchange:
             ds = rd.from_pandas([df.iloc[:2], df.iloc[2:]])
             first = partitioned_group_map(ds, ["g"], _make_fold(),
                                           num_partitions=16).materialize()
-            assert any(n == 0 and len(blk.columns) == 0
-                       for n, blk in _blocks(first))
+            blocks = _blocks(first)
+            if shuffle == "hash":
+                assert any(n == 0 and len(blk.columns) == 0
+                           for n, blk in blocks)
+            else:
+                assert 1 <= len(blocks) <= 3
+                assert all(n > 0 and list(blk.columns) == ["g", "s", "c"]
+                           for n, blk in blocks)
             _assert_chain(*_chain(first))
 
     @pytest.mark.parametrize("shuffle", ["sort", "hash"])
@@ -328,3 +339,47 @@ class TestFoldContract:
                 run().to_pandas().sort_values(["g", "h"]).reset_index(drop=True)
             )
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+class TestTaskExchangeContract:
+    """The exchange of plain Ray tasks below HASH_SHUFFLE: empty inputs
+    give an empty result, and a failing fold fails the caller."""
+
+    @pytest.mark.parametrize("layout", ["zero_rows", "zero_blocks"])
+    def test_empty_input_gives_empty_dataset(self, ray_session, layout):
+        import ray.data as rd
+
+        from matrixprofile_ray.util import (_hash_shuffle_active,
+                                            partitioned_group_map)
+
+        assert not _hash_shuffle_active()
+        if layout == "zero_rows":
+            ds = rd.from_pandas([
+                pd.DataFrame({"g": pd.Series([], dtype="int64"),
+                              "v": pd.Series([], dtype="float64")}),
+                pd.DataFrame({"g": [1, 2], "v": [1.0, 2.0]}).iloc[:0],
+            ])
+            assert ds.num_blocks() == 2
+        else:
+            ds = rd.from_pandas([])
+            assert ds.num_blocks() == 0
+        out = partitioned_group_map(ds, ["g"], _make_fold(),
+                                    num_partitions=4).materialize()
+        assert out.count() == 0
+        assert len(out.to_pandas()) == 0
+
+    @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+    def test_failing_fold_is_loud(self, ray_session, batch_format):
+        import ray.data as rd
+
+        from matrixprofile_ray.util import partitioned_group_map
+
+        def boom(part: pd.DataFrame) -> pd.DataFrame:
+            raise ValueError("fold failed on purpose")
+
+        ds = rd.from_pandas([pd.DataFrame({"g": [1, 2, 3], "v": [1, 2, 3]}),
+                             pd.DataFrame({"g": [3, 4], "v": [4, 5]})])
+        with pytest.raises(ValueError, match="fold failed on purpose"):
+            partitioned_group_map(ds, ["g"], boom, num_partitions=4,
+                                  partition_batch_format=batch_format
+                                  ).materialize()
