@@ -245,7 +245,9 @@ def fluss(pi: np.ndarray, w: int) -> np.ndarray:
     np.add.at(nnmark, large, -1)
     cross_count = np.cumsum(nnmark[:n])
 
-    cac = cross_count / _idealized_arc_curve(n, idx)
+    # the idealized curve is 0 at index 0: that 0/0 is overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cac = cross_count / _idealized_arc_curve(n, idx)
     cac[cac > 1] = 1
     cac[:w] = 1
     cac[-w:] = 1

@@ -3,7 +3,9 @@ Gorilla payloads → matrix profiles → discoveries.
 
 Execution topology — exactly ONE all-to-all exchange:
 
-    read/generate pages
+    scan (url, warc_ts) of the pages         a lazy Parquet read is
+                                             narrowed by util.read_only;
+                                             other sources run as given
       └─ rollup_partials(finest tier)          stateless tasks, pyarrow:
            partial_rollup (page count per domain × bucket) per read block,
            then rebucket at the same grain over COALESCE_ROWS-row batches
@@ -11,12 +13,14 @@ Execution topology — exactly ONE all-to-all exchange:
          └─ partitioned_group_map(domain, fold_tiers)   THE shuffle
               per-partition fold, per tier: fold_moments → assemble_series
             └─ series rows (one per domain × tier)  [materialized: tiny]
-               ├─ map_batches(encode_series)        → series_gorilla
                └─ ProfileStage.split                k pieces of equal cells
+                  ├─ map_batches(encode_series)      → series_gorilla,
+                  │                                    one task per piece
                   └─ map_batches(ProfileStage(...))    one task per piece
                      └─ map_batches(DiscoveryStage())  one task per piece
 
-The corpus is scanned ONCE; the partial combine collapses it to
+The corpus is scanned ONCE, and only the two columns the rollup reads
+(the page bodies are never decoded); the partial combine collapses it to
 ≤ (domains × finest-tier buckets) rows before the single shuffle, so the
 exchange volume is bounded by the bucket grid, not the page count. The
 fold is the two pieces the events engine runs too: the one merge fold
@@ -100,21 +104,23 @@ def flagship(
     # table so downstream consumers never rescan the corpus
     series = series_all_tiers(pages_ds, tiers=tiers).materialize()
 
-    # gorilla encode is C-speed per value: run it on the BIG shuffle-output
-    # blocks (1.05 s) — tiny repartitioned blocks cost 24x more in pure
-    # task machinery (measured 24.8 s)
-    gorilla = series.map_batches(encode_series, batch_format="pandas")
-    # both stages hold only config: run them as elastic TASKS on the warm
-    # workers — an actor pool pays an actor start-up on every job and
-    # statically takes CPUs away from the stage after it. The profile
-    # stage's own split gives each concurrent task one block of equal
-    # estimated cells, and batch_size=None keeps one block = one task:
-    # Ray's per-task machinery dominates small blocks (on the 600-row
-    # pages-rollup series at 1 CPU, split + profile + discovery took
-    # 1.62 s as 19 blocks of 4..32 rows, 1.24 s as one block and 1.18 s
-    # as two cells-balanced blocks; seed 5, 6 reps each)
+    # every stage below holds only config: run them as elastic TASKS on
+    # the warm workers — an actor pool pays an actor start-up on every
+    # job and statically takes CPUs away from the stage after it. The
+    # profile stage's own split gives each concurrent task one block of
+    # equal estimated cells, and batch_size=None keeps one block = one
+    # task: Ray's per-task machinery dominates small blocks (on the
+    # 600-row pages-rollup series at 1 CPU, split + profile + discovery
+    # took 1.62 s as 19 blocks of 4..32 rows, 1.24 s as one block and
+    # 1.18 s as two cells-balanced blocks; seed 5, 6 reps each). The
+    # Gorilla encode runs over the same pieces, not over the exchange's
+    # 2 × CPUs output blocks (1 CPU, seed 11: 0.082-0.092 s as one block
+    # against 0.095-0.107 s as two)
     stage = ProfileStage(window=window, algorithm=algorithm)
-    profiles = stage.split(series, profile_concurrency).map_batches(
+    pieces = stage.split(series, profile_concurrency)
+    gorilla = pieces.map_batches(encode_series, batch_format="pandas",
+                                 batch_size=None)
+    profiles = pieces.map_batches(
         stage,
         batch_format="pandas",
         batch_size=None,

@@ -30,7 +30,11 @@ Pages (``PAGE_MOMENTS``) carry only the page count per (domain, bucket),
 the one moment the flagship's series read. The flagship shape is:
 
 1. ``partial_rollup`` — inside ``map_batches`` (pyarrow, zero-copy), per
-   read block: project domain + bucket, then ``group_moments``.
+   read block: project domain + bucket, then ``group_moments``. The
+   blocks hold only ``PAGE_COLUMNS`` (url, warc_ts) when the pages are
+   a lazy Parquet read: ``util.read_only`` pushes that projection into
+   the scan, so the page bodies (most of a crawl's bytes) are never
+   decoded.
 2. ``coalesce`` at the same grain. ``rollup_partials`` builds steps 1
    and 2.
 3. The exchange + fold: ``pipelines.flagship.fold_tiers`` calls
@@ -54,6 +58,7 @@ from matrixprofile_ray.stages.extract import add_domain
 __all__ = [
     "TIERS",
     "COALESCE_ROWS",
+    "PAGE_COLUMNS",
     "PAGE_MOMENTS",
     "group_moments",
     "rebucket",
@@ -84,6 +89,9 @@ _MERGE = {"count": "sum", "count_all": "sum", "sum": "sum", "min": "min",
 
 # the page count per bucket: count(*), so a row counts whatever it holds
 PAGE_MOMENTS = {"count": ([], "count_all")}
+
+# the page columns the rollup reads: the domain comes from the url
+PAGE_COLUMNS = ["url", "warc_ts"]
 
 
 def group_moments(tbl: pa.Table, keys: list[str], spec: dict) -> pa.Table:
@@ -157,9 +165,13 @@ def partial_rollup(batch: pa.Table, bucket_us: int) -> pa.Table:
 
 def rollup_partials(pages_ds, tier: str):
     """pages Dataset → partial rows at ``tier``'s grain, coalesced into
-    ~ceil(rows / COALESCE_ROWS) blocks, ready for the one exchange."""
+    ~ceil(rows / COALESCE_ROWS) blocks, ready for the one exchange. A
+    lazy Parquet read of the pages is narrowed to (url, warc_ts) first
+    (``util.read_only``): the page bodies are never decoded."""
+    from matrixprofile_ray.util import read_only
+
     bucket_us = TIERS[tier]
-    return coalesce(pages_ds.map_batches(
+    return coalesce(read_only(pages_ds, PAGE_COLUMNS).map_batches(
         lambda b: partial_rollup(b, bucket_us),
         batch_format="pyarrow",
     ), ["domain"], PAGE_MOMENTS, bucket_us)

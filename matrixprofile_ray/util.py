@@ -9,6 +9,8 @@ HASH_SHUFFLE on ≥ 8 CPUs, and below that an exchange of plain Ray tasks
 (one scatter per input block, one gather per partition) that returns a
 materialized Dataset. :func:`cut_blocks` builds its output the same way:
 block refs from tasks that return each block's metadata beside it.
+:func:`read_only` narrows a lazy Parquet read to the columns a stage
+reads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "cut_blocks",
     "ensure_hash_shuffle",
     "partitioned_group_map",
+    "read_only",
     "shuffle_partitions",
 ]
 
@@ -351,4 +354,57 @@ def cut_blocks(ds, cuts: list[int]):
     for i, meta in zip(pending, ray.get([metas[i] for i in pending])):
         metas[i] = meta
     return _from_block_refs(refs, metas)
+
+
+def read_only(ds, columns: list[str]):
+    """A lazy Parquet read → the same read of just ``columns``; any other
+    ``ds`` → ``ds`` itself.
+
+    Narrows a Dataset whose whole, unexecuted plan is one Parquet read
+    (no ``_block_udf``, no caller-given schema) that yields every name in
+    ``columns`` and more: a shallow copy of the datasource reads only
+    ``columns``, rebuilt with the read's parallelism, remote args,
+    concurrency and ``ds.context``, so columns a stage never reads are
+    never decoded (the page bodies are most of a crawl's bytes). ``ds``
+    is not changed; a plan with any other operator or input comes back
+    as given, with no operator added. Nothing is registered with Ray's
+    optimizer, so no other Dataset of the process is rewritten.
+    """
+    import copy
+
+    import pyarrow as pa
+    from ray.data._internal.datasource.parquet_datasource import \
+        ParquetDatasource
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import Dataset
+    from ray.data.datasource.partitioning import PathPartitionParser
+
+    op = ds._logical_plan.dag
+    if not isinstance(op, Read) or ds._plan.has_computed_output():
+        return ds
+    src = op._datasource
+    if (not isinstance(src, ParquetDatasource)
+            or src._block_udf is not None or src._read_schema is not None):
+        return ds
+    schema = src._inferred_schema
+    if not set(columns) < set(schema.names):
+        return ds
+    parts = (PathPartitionParser(src._partitioning)(src._pq_paths[0])
+             if src._partitioning is not None else {})
+    narrow = copy.copy(src)
+    narrow._data_columns = [c for c in columns if c not in parts]
+    narrow._partition_columns = [c for c in columns if c in parts]
+    narrow._inferred_schema = pa.schema([schema.field(c) for c in columns],
+                                        schema.metadata)
+    narrow._include_paths = False
+    read = Read(narrow, narrow, op._parallelism, op._mem_size,
+                op._num_outputs, dict(op._ray_remote_args), op._concurrency)
+    # the read tasks' metadata is per file, whatever the columns
+    plan = ExecutionPlan(
+        DatasetStats(metadata=ds._plan._in_stats.metadata, parent=None),
+        ds.context.copy())
+    return Dataset(plan, LogicalPlan(read, plan._context))
 

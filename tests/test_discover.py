@@ -48,6 +48,28 @@ class TestRegimes:
             core.extract_regimes(cac, 32, 2), [759, 423]
         )
 
+    def test_fluss_warns_nothing(self, sampledata):
+        """The idealized arc curve is 0 at index 0; that entry is
+        overwritten, so its 0/0 (and -1/0 when pi[0] == 0) must not warn,
+        and the CAC keeps its bytes (sha256 of the CAC before the
+        division was silenced)."""
+        import hashlib
+        import warnings
+
+        _, pi = core.mpx(sampledata, 32)
+        pi0 = np.random.default_rng(3).integers(0, 200, 200)
+        pi0[0] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cac = core.fluss(pi, 32)
+            cac0 = core.fluss(pi0, 8)
+        np.testing.assert_array_equal(
+            core.extract_regimes(cac, 32, 3), [759, 423, 583]
+        )
+        assert hashlib.sha256(cac0.tobytes()).hexdigest() == (
+            "3324fa8ed35b0d72ef0e9dbbdeb8b62a261cf3e0bd94643aaadba569b036ce0a"
+        )
+
 
 class TestMotifs:
     def test_all_inf_returns_empty(self):

@@ -599,3 +599,133 @@ class TestParquetCorpusPath:
         # must equal the in-flight generated rollup
         want = _merged(rollup_partials(pages_dataset(2000), "1d"))
         _assert_same_counts(got, want)
+
+
+def _read_source(ds):
+    """The source operator of ``ds``' logical plan."""
+    op = ds._logical_plan.dag
+    while op.input_dependencies:
+        op = op.input_dependencies[0]
+    return op
+
+
+def _sorted_series(ds) -> pd.DataFrame:
+    return ds.to_pandas().sort_values(["tier", "domain"]).reset_index(drop=True)
+
+
+class TestReadOnly:
+    """``util.read_only``: the rollup scans only (url, warc_ts) of a lazy
+    Parquet read, and gives what the in-memory pages give."""
+
+    TIERS = ("1h", "1d", "7d")
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, pages_table):
+        import pyarrow.parquet as pq
+
+        root = tmp_path_factory.mktemp("pages")
+        paths = []
+        for i in range(4):
+            paths.append(str(root / f"part{i}.parquet"))
+            pq.write_table(pages_table.slice(i * 1000, 1000), paths[-1])
+        return paths
+
+    @pytest.fixture(scope="class")
+    def hive_dir(self, tmp_path_factory, pages_table):
+        import pyarrow.parquet as pq
+
+        root = str(tmp_path_factory.mktemp("hive"))
+        pq.write_to_dataset(pages_table, root, partition_cols=["lang"])
+        return root
+
+    @pytest.fixture(scope="class")
+    def want(self, ray_session, pages_table):
+        """Partials and series of the in-memory pages."""
+        import ray.data as rd
+
+        from matrixprofile_ray.pipelines.flagship import series_all_tiers
+        from matrixprofile_ray.stages.rollup import rollup_partials
+
+        return (_merged(rollup_partials(rd.from_arrow(pages_table), "1h")),
+                _sorted_series(series_all_tiers(rd.from_arrow(pages_table),
+                                                tiers=self.TIERS)))
+
+    def _check_narrowed(self, ds, want):
+        from matrixprofile_ray.pipelines.flagship import series_all_tiers
+        from matrixprofile_ray.stages.rollup import PAGE_COLUMNS, rollup_partials
+        from matrixprofile_ray.util import read_only
+
+        names = ds.schema().names
+        narrow = read_only(ds, PAGE_COLUMNS)
+        assert narrow is not ds
+        assert narrow.schema().names == PAGE_COLUMNS
+        src = narrow._logical_plan.dag._datasource
+        assert src._data_columns == PAGE_COLUMNS
+        assert src._partition_columns == []
+        assert narrow.materialize().schema().names == PAGE_COLUMNS
+        # the rollup itself scans the two columns
+        partials = rollup_partials(ds, "1h")
+        assert _read_source(partials)._datasource._data_columns == PAGE_COLUMNS
+        _assert_same_counts(_merged(partials), want[0])
+        got = _sorted_series(series_all_tiers(ds, tiers=self.TIERS))
+        assert got.drop(columns="values").equals(
+            want[1].drop(columns="values"))
+        for g, w in zip(got["values"], want[1]["values"]):
+            assert np.asarray(g, "d").tobytes() == np.asarray(w, "d").tobytes()
+        # the caller's Dataset is not changed
+        assert ds.schema().names == names
+        assert ds.materialize().schema().names == names
+
+    def test_read_with_columns(self, files, want):
+        import ray.data as rd
+
+        self._check_narrowed(
+            rd.read_parquet(files, columns=["url", "warc_ts", "html", "text"]),
+            want)
+
+    def test_read_without_columns(self, files, want):
+        import ray.data as rd
+
+        ds = rd.read_parquet(files)
+        assert ds.schema().names == ["url", "warc_ts", "html", "text", "lang"]
+        self._check_narrowed(ds, want)
+
+    def test_hive_partition_column_not_requested(self, hive_dir, want):
+        import ray.data as rd
+
+        ds = rd.read_parquet(hive_dir)
+        assert "lang" in ds.schema().names
+        assert "lang" not in _read_source(ds)._datasource._pq_fragments[
+            0].deserialize().physical_schema.names
+        self._check_narrowed(ds, want)
+
+    def test_hive_partition_column_requested(self, ray_session, hive_dir,
+                                             pages_table):
+        import ray.data as rd
+
+        from matrixprofile_ray.util import read_only
+
+        narrow = read_only(rd.read_parquet(hive_dir), ["url", "lang"])
+        src = narrow._logical_plan.dag._datasource
+        assert (src._data_columns, src._partition_columns) == (["url"], ["lang"])
+        got = narrow.to_pandas().sort_values(["url", "lang"])
+        want = pages_table.select(["url", "lang"]).to_pandas().sort_values(
+            ["url", "lang"])
+        assert got["url"].tolist() == want["url"].tolist()
+        assert got["lang"].tolist() == want["lang"].tolist()
+
+    def test_other_plans_come_back_as_given(self, ray_session, files):
+        import ray.data as rd
+
+        from matrixprofile_ray.stages.rollup import PAGE_COLUMNS
+        from matrixprofile_ray.util import read_only
+
+        read = rd.read_parquet(files)
+        executed = rd.read_parquet(files)
+        executed.split_at_indices([1])  # runs the plan in place, keeps its blocks
+        assert executed._plan.has_computed_output()
+        for ds in (pages_dataset(100), read.map_batches(lambda b: b),
+                   read.materialize(), executed,
+                   rd.read_parquet(files, columns=PAGE_COLUMNS),
+                   rd.read_parquet(files, columns=["url"])):
+            assert read_only(ds, PAGE_COLUMNS) is ds
